@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import InvalidArgumentError
+
 THREADS_ENV_VAR = "SEMDEDUP_THREADS"
 
 T = TypeVar("T")
@@ -23,7 +25,10 @@ def resolve_threads(threads: int = 0) -> int:
         return threads
     env = os.environ.get(THREADS_ENV_VAR, "")
     if env.strip():
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise InvalidArgumentError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
         if value > 0:
             return value
     return os.cpu_count() or 1

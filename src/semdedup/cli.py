@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 format error, 4 data error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import sys
@@ -462,6 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    # Worker pools live for one call, and glibc lets each new thread take one of
+    # several malloc arenas, each keeping what was freed in it, so peak RSS varied
+    # between runs on one input (10.2x to 11.0x the corpus for `stats`). Use one.
+    try:
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX; glibc only
+    except (AttributeError, OSError, TypeError):
+        pass
     args = build_parser().parse_args(argv)
     try:
         if args.command == "cluster":
@@ -469,12 +477,12 @@ def main(argv=None) -> int:
         if args.command == "dedup":
             return cmd_dedup(_config_from(args), args.model)
         if args.command == "tune":
-            cfg = _config_from(args)
-            if cfg.target_fraction is None:
-                raise InvalidArgumentError("tune requires target_fraction")
-            return cmd_tune(cfg, args.model, args.csv)
+            return cmd_tune(_config_from(args), args.model, args.csv)
         if args.command == "sweep":
-            epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+            try:
+                epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise InvalidArgumentError(f"bad --epsilons list: {exc}") from None
             return cmd_sweep(_config_from(args), args.model, epsilons)
         if args.command == "stats":
             return cmd_stats(_config_from(args), args.model, args.summary)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .embedding_store import UnitEmbeddingMatrix
-from .errors import InvalidArgumentError
+from .errors import FormatError, InvalidArgumentError
 from .rng import hash_u64, stream_for
 from .spherical_kmeans import KMeansModel
 
@@ -208,8 +208,11 @@ def read_keep_list(path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise InvalidArgumentError(f"no such file: {path}")
-    values = [int(line) for line in path.read_text(encoding="utf-8").split()]
-    return np.asarray(values, dtype=np.uint64)
+    try:
+        values = [int(line) for line in path.read_text(encoding="utf-8").split()]
+        return np.asarray(values, dtype=np.uint64)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: keep-list entries must be u64 ids ({exc})") from None
 
 
 def summary_dict(result: DedupResult, cfg: DedupConfig, n: int, k: int) -> dict:

@@ -13,6 +13,7 @@ float64.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,16 +116,18 @@ def normalize_rows(m: EmbeddingMatrix) -> UnitEmbeddingMatrix:
     return UnitEmbeddingMatrix(unit, m.ids.copy())
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
+def read_exact(fh, count: int, what: str) -> bytes:
+    # Counts come from headers: check them against the file before reading.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(count) if count <= left else b""
     if len(buf) != count:
-        raise FormatError(f"truncated file: expected {count} bytes for {what}, got {len(buf)}")
+        raise FormatError(f"truncated file: expected {count} bytes for {what}, {left} left")
     return buf
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
-        header = _read_exact(fh, _HEADER.size, "header")
+        header = read_exact(fh, _HEADER.size, "header")
         magic, version, n, d, dtype_code = _HEADER.unpack(header)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -134,12 +137,11 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
             raise FormatError(f"unsupported dtype code {dtype_code}")
         if n < 1 or d < 1:
             raise FormatError(f"invalid dimensions n={n} d={d}")
-        payload = _read_exact(fh, n * d * 4, "row data")
-        id_bytes = _read_exact(fh, n * 8, "ids")
+        payload = read_exact(fh, n * d * 4 + n * 8, "row data and ids")
         if fh.read(1):
             raise FormatError("trailing bytes after payload")
-    data = np.frombuffer(payload, dtype=_F32).reshape(n, d)
-    ids = np.frombuffer(id_bytes, dtype=_U64)
+    data = np.frombuffer(payload, dtype=_F32, count=n * d).reshape(n, d)
+    ids = np.frombuffer(payload, dtype=_U64, offset=n * d * 4)
     return EmbeddingMatrix(data.copy(), ids.copy())
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import chunk_ranges, map_ordered
-from .embedding_store import UnitEmbeddingMatrix
+from .embedding_store import UnitEmbeddingMatrix, read_exact
 from .errors import FormatError, InvalidArgumentError
 from .rng import hashed_uniform
 
@@ -24,10 +24,11 @@ MODEL_VERSION = 1
 _MODEL_HEADER = struct.Struct("<4sIII")
 
 CENTROID_NORM_TOL = 1e-6
-OBJECTIVE_SLACK = 1e-7
 
 # Fixed grid for chunked passes; a function of k only, never of thread count.
 _SCORE_BUDGET = 16_000_000
+# Rows per gather-and-transpose step of _centroid_sums; its strided read stays in cache.
+_GATHER_ROWS = 256
 
 
 def _pass_chunk(k: int) -> int:
@@ -105,8 +106,14 @@ def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int):
     return assignment, best
 
 
-def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: int):
-    """Per-cluster float64 row sums; chunk partials combined in grid order."""
+def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: int) -> np.ndarray:
+    """Per-cluster float64 row sums; chunk partials combined in grid order.
+
+    Each chunk is gathered cluster by cluster into a (d, rows) block, so
+    reduceat reads each cluster's segment at unit stride. It adds a segment's
+    first value to numpy's pairwise sum of the rest; adding rows one at a
+    time (``sum(axis=0)`` per segment) would round differently.
+    """
     n, d = data.shape
 
     def one(span):
@@ -114,31 +121,19 @@ def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: in
         a = assignment[lo:hi]
         order = np.argsort(a, kind="stable")
         sorted_a = a[order]
-        block = data[lo:hi][order].astype(np.float64)
+        rows = data[lo:hi]
+        cols = np.empty((d, hi - lo), dtype=np.float64)
+        for r in range(0, hi - lo, _GATHER_ROWS):
+            cols[:, r:r + _GATHER_ROWS] = rows[order[r:r + _GATHER_ROWS]].T
         starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
         part = np.zeros((k, d), dtype=np.float64)
-        part[sorted_a[starts]] = np.add.reduceat(block, starts, axis=0)
-        return part, np.bincount(a, minlength=k).astype(np.int64)
+        part[sorted_a[starts]] = np.add.reduceat(cols, starts, axis=1).T
+        return part
 
-    parts = map_ordered(one, chunk_ranges(n, _pass_chunk(k)), threads)
     sums = np.zeros((k, d), dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    for part, cnt in parts:
+    for part in map_ordered(one, chunk_ranges(n, _pass_chunk(k)), threads):
         sums += part
-        counts += cnt
-    return sums, counts
-
-
-def _objective(data: np.ndarray, centroids64: np.ndarray, assignment: np.ndarray, threads: int) -> float:
-    n = data.shape[0]
-
-    def one(span):
-        lo, hi = span
-        block = data[lo:hi].astype(np.float64)
-        return float(np.einsum("ij,ij->i", block, centroids64[assignment[lo:hi]]).sum())
-
-    totals = map_ordered(one, chunk_ranges(n, _pass_chunk(centroids64.shape[0])), threads)
-    return float(sum(totals)) / n
+    return sums
 
 
 def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int, sample_cap: int) -> np.ndarray:
@@ -226,9 +221,13 @@ def fit(
     """Cluster unit embeddings into k clusters.
 
     Runs at most ``iterations`` rounds of assignment + centroid update,
-    stopping early once assignments no longer change. The mean cosine to the
-    assigned centroid is recorded per round and never decreases (within
-    1e-7).
+    stopping early once assignments no longer change. Each round records the
+    mean cosine of the points to their updated centroids as sum_c S_c . c / n,
+    from the cluster sums S_c the update already holds, so the trace costs no
+    data pass. It never decreases (within 1e-7). The returned centroids are
+    one update ahead of ``assignment`` (the pair the trace scores), so
+    ``assign(e, model.centroids)`` can differ from it when the fit stops at
+    ``iterations``.
     """
     n = e.n
     if k < 1:
@@ -250,12 +249,12 @@ def fit(
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
         _repair_empty_clusters(assignment, best_cos, sizes)
 
-        sums, counts = _centroid_sums(e.data, assignment, k, threads)
+        sums = _centroid_sums(e.data, assignment, k, threads)
         norms = np.linalg.norm(sums, axis=1)
-        usable = (counts > 0) & (norms > 1e-12)
+        usable = norms > 1e-12  # an empty cluster's sum is exactly zero
         centroids64[usable] = sums[usable] / norms[usable, None]
 
-        trace.append(_objective(e.data, centroids64, assignment, threads))
+        trace.append(float((sums * centroids64).sum()) / n)
 
     return KMeansModel(
         centroids=centroids64.astype(np.float32),
@@ -307,29 +306,19 @@ def load_model(path) -> KMeansModel:
     if not path.is_file():
         raise InvalidArgumentError(f"no such file: {path}")
     with open(path, "rb") as fh:
-        header = fh.read(_MODEL_HEADER.size)
-        if len(header) != _MODEL_HEADER.size:
-            raise FormatError("truncated model header")
-        magic, version, k, d = _MODEL_HEADER.unpack(header)
+        magic, version, k, d = _MODEL_HEADER.unpack(read_exact(fh, _MODEL_HEADER.size, "model header"))
         if magic != MODEL_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
         if version != MODEL_VERSION:
             raise FormatError(f"unsupported model version {version}")
         if k < 1 or d < 1:
             raise FormatError(f"invalid model dimensions k={k} d={d}")
-        cent_bytes = fh.read(k * d * 4)
-        if len(cent_bytes) != k * d * 4:
-            raise FormatError("truncated centroid block")
-        n_bytes = fh.read(8)
-        if len(n_bytes) != 8:
-            raise FormatError("truncated point count")
-        (n,) = struct.unpack("<Q", n_bytes)
-        assign_bytes = fh.read(n * 4)
-        if len(assign_bytes) != n * 4:
-            raise FormatError("truncated assignment block")
+        cent_bytes = read_exact(fh, k * d * 4 + 8, "centroids and point count")
+        (n,) = struct.unpack("<Q", cent_bytes[-8:])
+        assign_bytes = read_exact(fh, n * 4, "assignment")
         if fh.read(1):
             raise FormatError("trailing bytes after payload")
-    centroids = np.frombuffer(cent_bytes, dtype="<f4").reshape(k, d).copy()
+    centroids = np.frombuffer(cent_bytes, dtype="<f4", count=k * d).reshape(k, d).copy()
     assignment = np.frombuffer(assign_bytes, dtype="<u4").copy()
     if assignment.size and int(assignment.max()) >= k:
         raise FormatError("assignment refers to a cluster >= k")

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +115,40 @@ def test_corrupt_input_exit_format(tmp_path, corpus_file):
     raw[0] ^= 0xFF
     bad.write_bytes(bytes(raw))
     assert run_cluster(bad, tmp_path / "out") == EXIT_FORMAT
+
+
+def test_oversized_headers_exit_format(tmp_path, corpus_file):
+    raw = bytearray(corpus_file.read_bytes())
+    raw[8:20] = struct.pack("<QI", 2**62, 2**20)
+    huge = tmp_path / "huge.semd"
+    huge.write_bytes(bytes(raw))
+    assert run_cluster(huge, tmp_path / "out") == EXIT_FORMAT
+
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    raw = bytearray((outdir / "model.semk").read_bytes())
+    raw[8:16] = struct.pack("<II", 2**31, 2**31)
+    model = tmp_path / "huge.semk"
+    model.write_bytes(bytes(raw))
+    assert main([
+        "dedup", "--input", str(corpus_file), "--model", str(model),
+        "--epsilon", "0.1", "--output-dir", str(tmp_path / "out"),
+    ]) == EXIT_FORMAT
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_threads_env_exit_validation(tmp_path, corpus_file, monkeypatch):
+    monkeypatch.setenv("SEMDEDUP_THREADS", "abc")
+    assert run_cluster(corpus_file, tmp_path / "out") == EXIT_VALIDATION
+
+
+def test_intersect_malformed_keep_list_exit_format(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("1\n2\n")
+    for line in ("abc", "-1", "1.5"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1\n{line}\n")
+        assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
 
 
 def test_nan_input_exit_data(tmp_path):
@@ -248,6 +283,7 @@ def test_sweep_rejects_bad_epsilon_lists(tmp_path, corpus_file):
     assert main(base + ["--epsilons", "0.2,0.1"]) == EXIT_VALIDATION
     assert main(base + ["--epsilons", "0.2,0.2"]) == EXIT_VALIDATION
     assert main(base + ["--epsilons", ""]) == EXIT_VALIDATION
+    assert main(base + ["--epsilons", "0.1,x"]) == EXIT_VALIDATION
 
 
 def test_synth_round_trip(tmp_path):

@@ -137,6 +137,18 @@ def test_load_rejects_trailing_bytes(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("n, d", [(2**62, 2**20), (3, 2)])
+def test_load_rejects_sizes_beyond_file(tmp_path, n, d):
+    # The file holds 2 rows of d = 2: a huge header, and one row too many.
+    path = tmp_path / "m.semd"
+    write_embeddings(EmbeddingMatrix(np.eye(2, dtype=np.float32)), path)
+    raw = bytearray(path.read_bytes())
+    raw[8:20] = struct.pack("<QI", n, d)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="truncated"):
+        load_embeddings(path)
+
+
 def test_load_rejects_bad_version_and_dtype(tmp_path):
     m = EmbeddingMatrix(np.eye(2, dtype=np.float32))
     path = tmp_path / "m.semd"

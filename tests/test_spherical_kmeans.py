@@ -1,9 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
+from semdedup._parallel import chunk_ranges, map_ordered
 from semdedup.errors import FormatError, InvalidArgumentError
 from semdedup.spherical_kmeans import (
     KMeansModel,
+    _assign_pass,
+    _centroid_sums,
+    _init_centroids,
+    _pass_chunk,
+    _repair_empty_clusters,
     assign,
     fit,
     load_model,
@@ -21,6 +29,125 @@ def brute_force_argmax(e, centroids):
     for i in range(e.n):
         out[i] = int(np.argmax(cents @ e.data[i].astype(np.float64)))
     return out
+
+
+def reference_centroid_sums(data, assignment, k, threads):
+    """Cluster sums and counts by a stable argsort and reduceat down axis 0."""
+    n, d = data.shape
+
+    def one(span):
+        lo, hi = span
+        a = assignment[lo:hi]
+        order = np.argsort(a, kind="stable")
+        sorted_a = a[order]
+        block = data[lo:hi][order].astype(np.float64)
+        starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+        part = np.zeros((k, d), dtype=np.float64)
+        part[sorted_a[starts]] = np.add.reduceat(block, starts, axis=0)
+        return part, np.bincount(a, minlength=k).astype(np.int64)
+
+    parts = map_ordered(one, chunk_ranges(n, _pass_chunk(k)), threads)
+    sums = np.zeros((k, d), dtype=np.float64)
+    counts = np.zeros(k, dtype=np.int64)
+    for part, cnt in parts:
+        sums += part
+        counts += cnt
+    return sums, counts
+
+
+def reference_objective(data, centroids64, assignment, threads):
+    """Mean cosine of every point to its centroid, by a pass over the data."""
+    n = data.shape[0]
+
+    def one(span):
+        lo, hi = span
+        block = data[lo:hi].astype(np.float64)
+        return float(np.einsum("ij,ij->i", block, centroids64[assignment[lo:hi]]).sum())
+
+    totals = map_ordered(one, chunk_ranges(n, _pass_chunk(centroids64.shape[0])), threads)
+    return float(sum(totals)) / n
+
+
+def reference_fit(e, k, iterations, seed, threads):
+    """fit() built on the reference sums and a separate objective pass.
+
+    Returns the float64 centroids, the assignment, the objective trace and
+    the number of empty-cluster repairs.
+    """
+    centroids64 = _init_centroids(e.data, e.ids, k, seed, 16384)
+    assignment, trace, repairs = None, [], 0
+    for _ in range(iterations):
+        new_assignment, best_cos = _assign_pass(e.data, centroids64, threads)
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        sizes = np.bincount(assignment, minlength=k).astype(np.int64)
+        repairs += _repair_empty_clusters(assignment, best_cos, sizes)
+        sums, counts = reference_centroid_sums(e.data, assignment, k, threads)
+        norms = np.linalg.norm(sums, axis=1)
+        usable = (counts > 0) & (norms > 1e-12)
+        centroids64[usable] = sums[usable] / norms[usable, None]
+        trace.append(reference_objective(e.data, centroids64, assignment, threads))
+    return centroids64, assignment, trace, repairs
+
+
+def _sums_case(name):
+    """(data, assignment, k) for one reference-comparison case."""
+    rng = np.random.default_rng(len(name))
+    if name == "empty_clusters":
+        data = random_unit(rng, 1000, 16).data
+        return data, rng.choice(np.arange(0, 50, 2), 1000).astype(np.uint32), 50
+    if name == "k1":
+        return random_unit(rng, 5000, 8).data, np.zeros(5000, dtype=np.uint32), 1
+    if name == "k_exceeds_chunk":
+        # k = 5000 gives 3200-row chunks; n = 7000 ends on a partial chunk.
+        assert _pass_chunk(5000) < 5000 and 7000 % _pass_chunk(5000)
+        return random_unit(rng, 7000, 4).data, rng.integers(0, 5000, 7000).astype(np.uint32), 5000
+    if name == "split_at_boundary":
+        chunk = _pass_chunk(3)
+        a = np.zeros(chunk + 700, dtype=np.uint32)
+        a[chunk - 300:] = 1  # cluster 1 straddles the chunk edge; 2 is empty
+        return random_unit(rng, chunk + 700, 8).data, a, 3
+    if name == "wide_magnitudes":
+        # Components from 1e-12 to 1: float64 partial sums round, so the
+        # order of additions shows in the result.
+        data = rng.standard_normal((3000, 8)) * np.exp(rng.uniform(-28, 0, (3000, 8)))
+        return data.astype(np.float32), rng.integers(0, 20, 3000).astype(np.uint32), 20
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "case", ["empty_clusters", "k1", "k_exceeds_chunk", "split_at_boundary", "wide_magnitudes"]
+)
+def test_centroid_sums_equal_reference(case, threads):
+    data, assignment, k = _sums_case(case)
+    want, _ = reference_centroid_sums(data, assignment, k, 1)
+    assert np.array_equal(_centroid_sums(data, assignment, k, threads), want)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "rows, k, iterations",
+    [
+        ("random", 7, 25),
+        ("random", 40, 3),  # stops at the iteration cap, before convergence
+        ("duplicates", 3, 10),  # forces an empty-cluster repair
+    ],
+)
+def test_fit_equals_reference_loop(rows, k, iterations, threads):
+    if rows == "random":
+        e = random_unit(np.random.default_rng(k), 600, 12)
+    else:
+        e = unit_rows([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    centroids64, assignment, trace, repairs = reference_fit(e, k, iterations, 0, threads)
+    model = fit(e, k, iterations, seed=0, threads=threads)
+    if rows == "duplicates":
+        assert repairs > 0
+    assert model.centroids.tobytes() == centroids64.astype(np.float32).tobytes()
+    assert np.array_equal(model.assignment, assignment)
+    assert len(model.objective_trace) == len(trace)
+    assert np.allclose(model.objective_trace, trace, rtol=0, atol=1e-12)
 
 
 def test_single_point_single_cluster():
@@ -225,6 +352,27 @@ def test_model_load_rejects_corruption(tmp_path, rng):
     bad.write_bytes(raw + b"\x01")
     with pytest.raises(FormatError, match="trailing"):
         load_model(bad)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, values",
+    [
+        (8, "<II", (2**31, 2**31)),  # k = d = 2**31: a 2**64-byte centroid block
+        (8, "<I", (3,)),  # one centroid row more than the file holds
+        (48, "<Q", (2**62,)),  # a 2**64-byte assignment block
+        (48, "<Q", (21,)),  # one point more than the file holds
+    ],
+)
+def test_model_load_rejects_sizes_beyond_file(tmp_path, rng, offset, fmt, values):
+    # The file holds k = 2, d = 4 and n = 20; the point count sits at byte 48.
+    model = fit(random_unit(rng, 20, 4), 2, 5, seed=0)
+    path = tmp_path / "model.semk"
+    save_model(model, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, *values)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        load_model(path)
 
 
 def test_refit_same_seed_identical_file(tmp_path, rng):
