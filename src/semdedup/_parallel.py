@@ -29,6 +29,8 @@ def resolve_threads(threads: int = 0) -> int:
             value = int(env)
         except ValueError:
             raise InvalidArgumentError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
+        if value < 0:
+            raise InvalidArgumentError(f"{THREADS_ENV_VAR}={env!r} must be >= 0 (0 = auto)")
         if value > 0:
             return value
     return os.cpu_count() or 1

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ._parallel import map_ordered
-from .dedup_core import DedupResult
+from .dedup_core import pair_tiles
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
 from .spherical_kmeans import KMeansModel, nearest_clusters
@@ -73,22 +73,6 @@ def _bin_indices(sims: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
-def _iter_pair_blocks(rows: np.ndarray, tile: int):
-    """Yield float64 similarity values of unordered within-set pairs, tiled."""
-    m = rows.shape[0]
-    for j0 in range(0, m, tile):
-        j1 = min(j0 + tile, m)
-        cols = rows[j0:j1]
-        for i0 in range(0, j1, tile):
-            i1 = min(i0 + tile, j1)
-            sims = rows[i0:i1] @ cols.T
-            if i0 == j0:
-                r, c = np.triu_indices(i1 - i0, k=1, m=j1 - j0)
-                yield sims[r, c]
-            else:
-                yield sims.ravel()
-
-
 def similarity_histogram(
     e: UnitEmbeddingMatrix,
     model: KMeansModel,
@@ -103,16 +87,12 @@ def similarity_histogram(
     """
     if bins < 2:
         raise InvalidArgumentError("bins must be >= 2")
-    _check_match(e, model)
+    model.check_matches(e)
 
     def one(c: int) -> np.ndarray:
-        members = model.members[c]
         counts = np.zeros(bins, dtype=np.int64)
-        if members.size < 2:
-            return counts
-        rows = e.data[members].astype(np.float64)
-        for sims in _iter_pair_blocks(rows, tile):
-            counts += np.bincount(_bin_indices(sims, bins), minlength=bins)
+        for _, _, sims in pair_tiles(e.data[model.members[c]], tile=tile):
+            counts += np.bincount(_bin_indices(sims[sims > -np.inf], bins), minlength=bins)
         return counts
 
     parts = map_ordered(one, range(model.k), threads)
@@ -135,27 +115,16 @@ def duplicate_incidence(
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
-    _check_match(e, model)
+    model.check_matches(e)
     threshold = 1.0 - epsilon
 
     def one(c: int) -> int:
         members = model.members[c]
-        m = members.size
-        if m < 2:
-            return 0
-        rows = e.data[members].astype(np.float64)
-        has_dup = np.zeros(m, dtype=bool)
-        for j0 in range(0, m, tile):
-            j1 = min(j0 + tile, m)
-            cols = rows[j0:j1]
-            for i0 in range(0, j1, tile):
-                i1 = min(i0 + tile, j1)
-                sims = rows[i0:i1] @ cols.T
-                if i0 == j0:
-                    np.fill_diagonal(sims, -np.inf)
-                hit = sims >= threshold
-                has_dup[i0:i1] |= hit.any(axis=1)
-                has_dup[j0:j1] |= hit.any(axis=0)
+        has_dup = np.zeros(members.size, dtype=bool)
+        for i0, j0, sims in pair_tiles(e.data[members], tile=tile):
+            hit = sims >= threshold
+            has_dup[i0:i0 + hit.shape[0]] |= hit.any(axis=1)
+            has_dup[j0:j0 + hit.shape[1]] |= hit.any(axis=0)
         return int(np.count_nonzero(has_dup))
 
     counts = map_ordered(one, range(model.k), threads)
@@ -173,23 +142,9 @@ def intersection_pct(keep_a: Iterable[int], keep_b: Iterable[int], n: int) -> fl
     return 100.0 * len(set_a & set_b) / n
 
 
-def _count_pairs_within(rows: np.ndarray, threshold: float, tile: int) -> int:
-    total = 0
-    for sims in _iter_pair_blocks(rows, tile):
-        total += int(np.count_nonzero(sims >= threshold))
-    return total
-
-
-def _count_pairs_across(rows_a: np.ndarray, rows_b: np.ndarray, threshold: float, tile: int) -> int:
-    total = 0
-    for i0 in range(0, rows_a.shape[0], tile):
-        i1 = min(i0 + tile, rows_a.shape[0])
-        block = rows_a[i0:i1]
-        for j0 in range(0, rows_b.shape[0], tile):
-            j1 = min(j0 + tile, rows_b.shape[0])
-            sims = block @ rows_b[j0:j1].T
-            total += int(np.count_nonzero(sims >= threshold))
-    return total
+def _count_pairs(a: np.ndarray, b: np.ndarray | None, threshold: float, tile: int) -> int:
+    """Pairs at cosine >= threshold: unordered within ``a`` if ``b`` is None, else a x b."""
+    return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in pair_tiles(a, b, tile))
 
 
 def dedup_efficiency(
@@ -213,14 +168,11 @@ def dedup_efficiency(
     k = model.k
     if m_neighbors < 0 or m_neighbors >= max(k, 1):
         raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
-    _check_match(e, model)
+    model.check_matches(e)
     threshold = 1.0 - epsilon
 
     def within(c: int) -> int:
-        members = model.members[c]
-        if members.size < 2:
-            return 0
-        return _count_pairs_within(e.data[members].astype(np.float64), threshold, tile)
+        return _count_pairs(e.data[model.members[c]], None, threshold, tile)
 
     detected = int(sum(map_ordered(within, range(k), threads)))
 
@@ -232,16 +184,7 @@ def dedup_efficiency(
 
     def across(pair: tuple[int, int]) -> int:
         a, b = pair
-        members_a = model.members[a]
-        members_b = model.members[b]
-        if members_a.size == 0 or members_b.size == 0:
-            return 0
-        return _count_pairs_across(
-            e.data[members_a].astype(np.float64),
-            e.data[members_b].astype(np.float64),
-            threshold,
-            tile,
-        )
+        return _count_pairs(e.data[model.members[a]], e.data[model.members[b]], threshold, tile)
 
     missed = int(sum(map_ordered(across, sorted(cluster_pairs), threads)))
     universe = detected + missed
@@ -250,21 +193,22 @@ def dedup_efficiency(
     return 100.0 * detected / universe
 
 
-def per_cluster_stats(result: DedupResult, model: KMeansModel) -> list:
-    """Size, removed count, and removed fraction per cluster."""
-    if result.per_cluster_removed.shape[0] != model.k:
-        raise InvalidArgumentError("result does not match model cluster count")
+def per_cluster_stats(removed_counts: np.ndarray, model: KMeansModel) -> list:
+    """Size, removed count, and removed fraction per cluster.
+
+    ``removed_counts`` holds one count per cluster, as in
+    ``DedupResult.per_cluster_removed``.
+    """
+    removed_counts = np.asarray(removed_counts)
+    if removed_counts.shape != (model.k,):
+        raise InvalidArgumentError(
+            f"{removed_counts.shape} removed counts do not match the model's k={model.k}"
+        )
     stats = []
     for c in range(model.k):
         size = int(model.members[c].size)
-        removed = int(result.per_cluster_removed[c])
+        removed = int(removed_counts[c])
         fraction = removed / size if size else 0.0
         stats.append(ClusterStat(cluster_id=c, size=size, removed=removed, removed_fraction=fraction))
     return stats
 
-
-def _check_match(e: UnitEmbeddingMatrix, model: KMeansModel) -> None:
-    if model.n != e.n or model.d != e.d:
-        raise InvalidArgumentError(
-            f"model (n={model.n}, d={model.d}) does not match embeddings (n={e.n}, d={e.d})"
-        )

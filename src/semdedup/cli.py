@@ -34,7 +34,6 @@ from .analysis_metrics import (
 )
 from .dedup_core import (
     DedupConfig,
-    DedupResult,
     KeepStrategy,
     dedup_dataset,
     kept_ids,
@@ -46,6 +45,7 @@ from .embedding_store import load_embeddings, normalize_rows, write_embeddings
 from .errors import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    FormatError,
     InvalidArgumentError,
     SemDedupError,
     exit_code_for,
@@ -55,6 +55,15 @@ from .spherical_kmeans import fit, load_model, save_model
 from .threshold_tuner import sample_clusters, size_curve, tune_epsilon
 
 logger = logging.getLogger("semdedup")
+
+
+# JSON value types accepted for each annotation used by PipelineConfig.
+_CONFIG_KINDS = {
+    "str": (str,),
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+}
 
 
 @dataclass
@@ -101,6 +110,8 @@ class PipelineConfig:
             raise InvalidArgumentError("neighbors must be >= 0")
         if self.threads < 0:
             raise InvalidArgumentError("threads must be >= 0 (0 = auto)")
+        if self.tile < 1:
+            raise InvalidArgumentError("tile must be >= 1")
         KeepStrategy.parse(self.strategy)
 
     @classmethod
@@ -110,11 +121,20 @@ class PipelineConfig:
             path = Path(config_path)
             if not path.is_file():
                 raise InvalidArgumentError(f"no such config file: {path}")
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-            known = {f.name for f in fields(cls)}
-            unknown = set(loaded) - known
+            try:
+                loaded = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise InvalidArgumentError(f"config file {path} is not JSON: {exc}") from None
+            if not isinstance(loaded, dict):
+                raise InvalidArgumentError(f"config file {path} must hold a JSON object")
+            kinds = {f.name: _CONFIG_KINDS[f.type] for f in fields(cls)}
+            unknown = set(loaded) - set(kinds)
             if unknown:
                 raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
+            for name, value in loaded.items():
+                # bool is an int subclass, but true/false is never a count or a threshold.
+                if isinstance(value, bool) or not isinstance(value, kinds[name]):
+                    raise InvalidArgumentError(f"config key {name!r} has the wrong type: {value!r}")
             values.update(loaded)
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -176,10 +196,7 @@ def _tune(cfg: PipelineConfig, corpus, model, threads: int):
 
 def _load_model_for(corpus, model_path: str):
     model = load_model(model_path)
-    if model.n != corpus.n or model.d != corpus.d:
-        raise InvalidArgumentError(
-            f"model (n={model.n}, d={model.d}) does not match corpus (n={corpus.n}, d={corpus.d})"
-        )
+    model.check_matches(corpus)
     return model
 
 
@@ -280,28 +297,32 @@ def cmd_sweep(cfg: PipelineConfig, model_path: str, epsilons: list) -> int:
     return EXIT_OK
 
 
+def _read_summary(summary_path: str) -> tuple[float, np.ndarray]:
+    """Epsilon and per-cluster removed counts from a dedup run's summary.json."""
+    spath = Path(summary_path)
+    if not spath.is_file():
+        raise InvalidArgumentError(f"no such summary file: {spath}")
+    try:
+        summary = json.loads(spath.read_text(encoding="utf-8"))
+        epsilon = float(summary["epsilon"])
+        removed = np.asarray(summary["per_cluster_removed"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise FormatError(f"{spath}: not a dedup summary ({exc!r})") from None
+    if removed.ndim != 1 or removed.dtype.kind not in "iu":
+        raise FormatError(f"{spath}: per_cluster_removed must be a list of integer counts")
+    return epsilon, removed
+
+
 def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
     corpus = _load_corpus(cfg)
     model = _load_model_for(corpus, model_path)
     threads = resolve_threads(cfg.threads)
-    spath = Path(summary_path)
-    if not spath.is_file():
-        raise InvalidArgumentError(f"no such summary file: {spath}")
-    summary = json.loads(spath.read_text(encoding="utf-8"))
-    epsilon = float(summary["epsilon"])
-    removed = np.asarray(summary["per_cluster_removed"], dtype=np.int64)
-    result = DedupResult(
-        keep=np.zeros(0, dtype=bool),
-        kept_fraction=float(summary["kept_fraction"]),
-        per_cluster_removed=removed,
-        comparisons=int(summary["comparisons"]),
-    )
-
+    epsilon, removed = _read_summary(summary_path)
     counts = similarity_histogram(corpus, model, cfg.histogram_bins, tile=cfg.tile, threads=threads)
     incidence = duplicate_incidence(corpus, model, epsilon, tile=cfg.tile, threads=threads)
     m_eff = min(cfg.neighbors, model.k - 1)
     eta = dedup_efficiency(corpus, model, epsilon, m_eff, tile=cfg.tile, threads=threads)
-    stats = per_cluster_stats(result, model)
+    stats = per_cluster_stats(removed, model)
     report = MetricsReport(
         bins=cfg.histogram_bins,
         histogram_counts=counts,

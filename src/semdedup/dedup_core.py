@@ -6,6 +6,14 @@ maximum cosine similarity to all earlier points in the ordering is at most
 survives). Removed points still block later ones, which makes the rule a
 pure prefix test: on a chain a~b, b~c with a and c dissimilar, both b and c
 are removed.
+
+Every pairwise cosine in the package (dedup, tuner and metrics; not the
+independent oracle) comes from one tile generator, ``pair_tiles``. It yields
+float64 tiles of ``a @ b.T``. Given ``b``, the tiles cover every (row of a,
+row of b) pair. Without ``b`` they cover each unordered pair within ``a`` once,
+as (earlier, later): only tiles with j0 >= i0 are computed, and in a
+diagonal tile the entries on and below the diagonal are -inf. ``tile``
+changes speed and memory only, never a result.
 """
 
 from __future__ import annotations
@@ -98,26 +106,27 @@ def order_cluster(
     return members[order]
 
 
-def _prefix_max(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int) -> np.ndarray:
-    """For each position p, max cosine to positions q < p (0 when empty).
+def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_TILE):
+    """Yield ``(i0, j0, sims)``: float64 tiles of ``a @ b.T`` (see module docstring)."""
+    a = np.asarray(a, dtype=np.float64)
+    within = b is None
+    cols = a if within else np.asarray(b, dtype=np.float64)
+    for j0 in range(0, cols.shape[0], tile):
+        block = cols[j0:j0 + tile]
+        i_end = min(j0 + tile, a.shape[0]) if within else a.shape[0]
+        for i0 in range(0, i_end, tile):
+            sims = a[i0:i0 + tile] @ block.T
+            if within and i0 == j0:
+                np.copyto(sims, -np.inf, where=np.tri(*sims.shape, dtype=bool))
+            yield i0, j0, sims
 
-    Similarities are evaluated tile-by-tile in ascending position order with
-    float64 accumulation; only the tiles on or below each column block are
-    touched, so the full m x m matrix is never materialized.
-    """
-    m = ordered.size
-    rows = e.data[ordered].astype(np.float64)
-    prefix = np.zeros(m, dtype=np.float64)
-    for j0 in range(0, m, tile):
-        j1 = min(j0 + tile, m)
-        cols = rows[j0:j1]
-        for i0 in range(0, j1, tile):
-            i1 = min(i0 + tile, j1)
-            sims = rows[i0:i1] @ cols.T
-            if i0 == j0:
-                # Diagonal block: only strictly-earlier rows may contribute.
-                np.copyto(sims, -np.inf, where=np.tri(i1 - i0, j1 - j0, dtype=bool))
-            np.maximum(prefix[j0:j1], sims.max(axis=0, initial=-np.inf), out=prefix[j0:j1])
+
+def _prefix_max(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int) -> np.ndarray:
+    """For each position p, max cosine to positions q < p (0 when empty)."""
+    prefix = np.zeros(ordered.size, dtype=np.float64)
+    for _, j0, sims in pair_tiles(e.data[ordered], tile=tile):
+        seg = prefix[j0:j0 + sims.shape[1]]
+        np.maximum(seg, sims.max(axis=0), out=seg)
     return prefix
 
 
@@ -158,10 +167,7 @@ def dedup_dataset(
     Clusters are independent work units; verdicts are assembled in cluster-id
     order, so the result does not depend on the thread count.
     """
-    if model.n != e.n:
-        raise InvalidArgumentError(f"model has {model.n} points, embeddings have {e.n}")
-    if model.d != e.d:
-        raise InvalidArgumentError(f"model dimension {model.d} != embedding dimension {e.d}")
+    model.check_matches(e)
 
     keep = np.zeros(e.n, dtype=bool)
     removed = np.zeros(model.k, dtype=np.int64)
@@ -209,8 +215,12 @@ def read_keep_list(path) -> np.ndarray:
     if not path.is_file():
         raise InvalidArgumentError(f"no such file: {path}")
     try:
-        values = [int(line) for line in path.read_text(encoding="utf-8").split()]
-        return np.asarray(values, dtype=np.uint64)
+        tokens = path.read_text(encoding="utf-8").split()
+        # int() alone would also take "+5", "1_0" and non-ASCII digits.
+        bad = [t for t in tokens if not (t.isascii() and t.isdigit())]
+        if bad:
+            raise ValueError(f"not a decimal id: {bad[0]!r}")
+        return np.asarray([int(t) for t in tokens], dtype=np.uint64)
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: keep-list entries must be u64 ids ({exc})") from None
 

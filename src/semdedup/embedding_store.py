@@ -73,8 +73,9 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
-# Row blocks for norm computations; bounds float64 temporaries on big inputs.
-_NORM_CHUNK = 65536
+# Row blocks for norm computations; keeps the float64 temporaries small
+# (4 MiB at d = 128) whatever the corpus size.
+_NORM_CHUNK = 4096
 
 
 @dataclass
@@ -112,7 +113,8 @@ def normalize_rows(m: EmbeddingMatrix) -> UnitEmbeddingMatrix:
             raise DegenerateRowError(
                 f"row {lo + local} has norm {norms[local]:.3e}, cannot normalize"
             )
-        unit[lo:hi] = (wide / norms[:, None]).astype(np.float32)
+        wide /= norms[:, None]
+        unit[lo:hi] = wide
     return UnitEmbeddingMatrix(unit, m.ids.copy())
 
 

@@ -75,6 +75,13 @@ class KMeansModel:
     def n(self) -> int:
         return self.assignment.shape[0]
 
+    def check_matches(self, e: UnitEmbeddingMatrix) -> None:
+        """Raise InvalidArgumentError unless ``e`` has the model's n and d."""
+        if self.n != e.n or self.d != e.d:
+            raise InvalidArgumentError(
+                f"model (n={self.n}, d={self.d}) does not match embeddings (n={e.n}, d={e.d})"
+            )
+
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k).astype(np.int64)
 

@@ -73,6 +73,7 @@ class _SampledEvaluator:
     """
 
     def __init__(self, e, model, sample, strategy, seed, tile, threads):
+        model.check_matches(e)
         sample = np.asarray(sample, dtype=np.int64)
         if sample.size == 0:
             raise InvalidArgumentError("cluster sample is empty")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semdedup.analysis_metrics import (
+    _count_pairs,
     dedup_efficiency,
     duplicate_incidence,
     histogram_bin_edges,
@@ -111,6 +112,36 @@ def test_incidence_matches_brute_force_pairs(rng):
         assert engine == len(has_dup) / n
 
 
+def test_metrics_tiling_invariant():
+    e = random_unit(np.random.default_rng(11), 150, 6)
+    model = fit(e, 5, 10, seed=11)
+    eps = 0.1
+    results = []
+    for tile in (1, 3, 17, 128, 4096):
+        results.append((
+            similarity_histogram(e, model, bins=64, tile=tile).tolist(),
+            duplicate_incidence(e, model, eps, tile=tile),
+            dedup_efficiency(e, model, eps, m_neighbors=2, tile=tile),
+        ))
+    assert 0.0 < results[0][1] < 1.0
+    assert results[0][2] < 100.0  # some threshold pairs cross clusters
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_pair_counts_match_full_matrix():
+    local = np.random.default_rng(21)
+    a = random_unit(local, 41, 4).data
+    b = random_unit(local, 29, 4).data
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    thr = 0.6
+    within = int(np.count_nonzero(np.triu(a64 @ a64.T >= thr, k=1)))
+    across = int(np.count_nonzero(a64 @ b64.T >= thr))
+    assert within > 0 and across > 0
+    for tile in (1, 3, 17, 128):
+        assert _count_pairs(a, None, thr, tile) == within
+        assert _count_pairs(a, b, thr, tile) == across
+
+
 def test_intersection_identity_and_disjoint():
     assert intersection_pct({1, 2, 3}, {1, 2, 3}, 3) == 100.0
     assert intersection_pct({1, 2}, {3, 4}, 2) == 0.0
@@ -191,7 +222,7 @@ def test_per_cluster_stats_no_removals(rng):
     e = random_unit(rng, 40, 8)
     model = fit(e, 4, 10, seed=0)
     result = dedup_dataset(e, model, DedupConfig(epsilon=1e-9))
-    stats = per_cluster_stats(result, model)
+    stats = per_cluster_stats(result.per_cluster_removed, model)
     assert all(s.removed_fraction == 0.0 for s in stats)
     assert sum(s.size for s in stats) == 40
 
@@ -200,7 +231,7 @@ def test_per_cluster_stats_identical_rows():
     e = unit_rows([[1.0, 0.0]] * 5)
     model = single_cluster_model(e)
     result = dedup_dataset(e, model, DedupConfig(epsilon=0.5))
-    stats = per_cluster_stats(result, model)
+    stats = per_cluster_stats(result.per_cluster_removed, model)
     assert stats[0].size == 5
     assert stats[0].removed == 4
     assert stats[0].removed_fraction == pytest.approx(0.8)
@@ -210,6 +241,6 @@ def test_per_cluster_totals_cross_check(rng):
     e = random_unit(rng, 300, 6)
     model = fit(e, 8, 10, seed=3)
     result = dedup_dataset(e, model, DedupConfig(epsilon=0.4))
-    stats = per_cluster_stats(result, model)
+    stats = per_cluster_stats(result.per_cluster_removed, model)
     assert sum(s.removed for s in stats) == e.n - result.kept_count
     assert sum(s.size for s in stats) == e.n

@@ -138,17 +138,41 @@ def test_oversized_headers_exit_format(tmp_path, corpus_file):
 
 
 def test_malformed_threads_env_exit_validation(tmp_path, corpus_file, monkeypatch):
-    monkeypatch.setenv("SEMDEDUP_THREADS", "abc")
-    assert run_cluster(corpus_file, tmp_path / "out") == EXIT_VALIDATION
+    for value in ("abc", "-3"):
+        monkeypatch.setenv("SEMDEDUP_THREADS", value)
+        assert run_cluster(corpus_file, tmp_path / "out") == EXIT_VALIDATION
 
 
 def test_intersect_malformed_keep_list_exit_format(tmp_path):
     good = tmp_path / "good.txt"
     good.write_text("1\n2\n")
-    for line in ("abc", "-1", "1.5"):
+    for line in ("abc", "-1", "1.5", "+5", "1_0"):
         bad = tmp_path / "bad.txt"
         bad.write_text(f"1\n{line}\n")
         assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
+
+
+def test_stats_malformed_summary_exit_format(tmp_path, corpus_file):
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    good = {"epsilon": 0.3, "per_cluster_removed": [0, 0, 0, 0]}
+    summary = tmp_path / "summary.json"
+    for bad in ("{not json", json.dumps({"epsilon": 0.3}), json.dumps({**good, "epsilon": "abc"}),
+                json.dumps({**good, "per_cluster_removed": [0, 1.5, 0, 0]})):
+        summary.write_text(bad)
+        assert main([
+            "stats", "--input", str(corpus_file), "--model", str(outdir / "model.semk"),
+            "--summary", str(summary), "--epsilon", "0.3", "--output-dir", str(tmp_path / "out"),
+        ]) == EXIT_FORMAT
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_malformed_exit_validation(tmp_path, corpus_file):
+    config = tmp_path / "config.json"
+    base = {"input": str(corpus_file), "epsilon": 0.1}
+    for text in ("{not json", json.dumps({**base, "k": "four"}), json.dumps({**base, "tile": 0})):
+        config.write_text(text)
+        assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
 
 
 def test_nan_input_exit_data(tmp_path):

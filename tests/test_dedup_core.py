@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semdedup import dedup_core
 from semdedup.dedup_core import (
     DedupConfig,
     KeepStrategy,
@@ -9,6 +10,7 @@ from semdedup.dedup_core import (
     dedup_dataset,
     kept_ids,
     order_cluster,
+    pair_tiles,
     read_keep_list,
     summary_dict,
     write_keep_list,
@@ -101,6 +103,61 @@ def test_dedup_cluster_tiling_invariant(rng):
                 baseline = keep
             else:
                 assert np.array_equal(keep, baseline)
+
+
+def test_pair_tiles_cover_each_pair_once():
+    local = np.random.default_rng(3)
+    a = local.standard_normal((37, 5)).astype(np.float32)
+    b = local.standard_normal((22, 5)).astype(np.float32)
+    full_within = a.astype(np.float64) @ a.astype(np.float64).T
+    full_across = a.astype(np.float64) @ b.astype(np.float64).T
+    upper = np.triu(np.ones((37, 37), dtype=bool), k=1)
+    for tile in (1, 3, 17, 37, 128):
+        seen = np.zeros((37, 37), dtype=np.int64)
+        got = np.full((37, 37), np.nan)
+        for i0, j0, sims in pair_tiles(a, tile=tile):
+            assert sims.dtype == np.float64
+            assert j0 >= i0
+            rows, cols = slice(i0, i0 + sims.shape[0]), slice(j0, j0 + sims.shape[1])
+            live = sims > -np.inf
+            seen[rows, cols] += live
+            got[rows, cols] = np.where(live, sims, got[rows, cols])
+        # Each unordered pair once, as (earlier, later); nothing on or below the diagonal.
+        assert np.array_equal(seen, upper.astype(np.int64))
+        assert np.allclose(got[upper], full_within[upper], rtol=0, atol=1e-12)
+
+        seen = np.zeros((37, 22), dtype=np.int64)
+        got = np.zeros((37, 22))
+        for i0, j0, sims in pair_tiles(a, b, tile=tile):
+            seen[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] += 1
+            got[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] = sims
+        assert np.all(seen == 1)
+        assert np.allclose(got, full_across, rtol=0, atol=1e-12)
+
+
+def test_dedup_dataset_calls_cluster_steps_through_module(rng, monkeypatch):
+    # The benchmark's traced run wraps these two module attributes to time each cluster.
+    e = random_unit(rng, 120, 6)
+    model = fit(e, 7, 10, seed=2)
+    cfg = DedupConfig(epsilon=0.3)
+    expected = dedup_dataset(e, model, cfg)
+    calls = {"order_cluster": 0, "dedup_cluster": 0}
+
+    def counted(name):
+        original = getattr(dedup_core, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dedup_core, name, counted(name))
+    result = dedup_dataset(e, model, cfg, threads=1)
+    multi = int(np.count_nonzero(model.cluster_sizes() >= 2))
+    assert multi >= 2
+    assert calls == {"order_cluster": multi, "dedup_cluster": multi}
+    assert np.array_equal(result.keep, expected.keep)
 
 
 def test_dedup_config_validation():

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from semdedup import embedding_store
 from semdedup.embedding_store import (
     EmbeddingMatrix,
     UnitEmbeddingMatrix,
@@ -206,6 +207,17 @@ def test_normalize_idempotent(rng):
     again = normalize_rows(u)
     assert np.max(np.abs(again.data - u.data)) <= 1e-6
     assert np.array_equal(again.ids, u.ids)
+
+
+def test_normalize_chunks_match_whole_matrix(monkeypatch):
+    # 50 rows on a 7-row grid: the last chunk is short. Magnitudes span 1e-6..1e6.
+    local = np.random.default_rng(9)
+    data = (local.standard_normal((50, 13)) * 10.0 ** local.uniform(-6, 6, (50, 1))).astype(np.float32)
+    x64 = data.astype(np.float64)
+    reference = (x64 / np.linalg.norm(x64, axis=1)[:, None]).astype(np.float32)
+    monkeypatch.setattr(embedding_store, "_NORM_CHUNK", 7)
+    u = normalize_rows(EmbeddingMatrix(data))
+    assert np.array_equal(u.data, reference)
 
 
 def test_unit_matrix_rejects_off_norm_rows():

@@ -194,3 +194,14 @@ def test_tune_argument_validation(rng):
         tune_epsilon(e, model, sample, strategy, 0.5, 0.1, 0.2, tol_fraction=0.0)
     with pytest.raises(InvalidArgumentError):
         tune_epsilon(e, model, sample, strategy, 0.5, 0.1, 0.2, max_probes=0)
+
+
+def test_tuner_rejects_model_of_another_corpus(rng):
+    e = random_unit(rng, 100, 6)
+    for other in (random_unit(rng, 200, 6), random_unit(rng, 100, 5)):
+        model = fit(other, 4, 5, seed=0)
+        sample = np.arange(model.k)
+        with pytest.raises(InvalidArgumentError, match="does not match"):
+            size_curve(e, model, sample, KeepStrategy.LOW_CENTROID_SIM, [0.1, 0.2])
+        with pytest.raises(InvalidArgumentError, match="does not match"):
+            tune_epsilon(e, model, sample, KeepStrategy.LOW_CENTROID_SIM, 0.5, 0.01, 0.5)
