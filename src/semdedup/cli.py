@@ -318,6 +318,8 @@ def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
     model = _load_model_for(corpus, model_path)
     threads = resolve_threads(cfg.threads)
     epsilon, removed = _read_summary(summary_path)
+    if cfg.epsilon is not None and cfg.epsilon != epsilon:
+        raise InvalidArgumentError(f"epsilon {cfg.epsilon} differs from the summary's {epsilon}")
     counts = similarity_histogram(corpus, model, cfg.histogram_bins, tile=cfg.tile, threads=threads)
     incidence = duplicate_incidence(corpus, model, epsilon, tile=cfg.tile, threads=threads)
     m_eff = min(cfg.neighbors, model.k - 1)

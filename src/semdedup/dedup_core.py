@@ -27,10 +27,12 @@ import numpy as np
 from ._parallel import map_ordered
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import FormatError, InvalidArgumentError
-from .rng import hash_u64, stream_for
+from .rng import hash_u64, hashed_uniform
 from .spherical_kmeans import KMeansModel
 
 DEFAULT_TILE = 1024
+# Tag separating the RANDOM keep order from other seeded draws.
+_TAG_ORDER = 29
 
 
 class KeepStrategy(enum.Enum):
@@ -84,26 +86,27 @@ def order_cluster(
 ) -> np.ndarray:
     """Order cluster members for the greedy pass.
 
-    LOW_CENTROID_SIM ascends by cosine to the centroid (the default: the
-    survivor of a duplicate group is the one least like the centroid),
-    HIGH_CENTROID_SIM descends, RANDOM applies a seeded uniform permutation.
-    Cosine ties resolve to the lower point index. For RANDOM, pass a
-    per-cluster seed (see dedup_dataset) so the permutation is independent
-    of cluster processing order.
+    Each strategy gives every member one sort key, and ties go to the lower
+    point id. LOW_CENTROID_SIM ascends by cosine to the centroid (the
+    default: the survivor of a duplicate group is the one least like the
+    centroid), HIGH_CENTROID_SIM descends, RANDOM sorts by a uniform hashed
+    from (seed, id). The order depends on ids, not rows, so permuting the
+    corpus with its ids permutes the result alike. For RANDOM, pass a
+    per-cluster seed (see cluster_seed) so clusters draw independently.
     """
-    members = np.sort(np.asarray(members, dtype=np.int64))
+    members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise InvalidArgumentError("cluster has no members")
+    ids = e.ids[members]
     if strategy is KeepStrategy.RANDOM:
-        ordered = members.copy()
-        stream_for(seed).shuffle(ordered)
-        return ordered
-    cos = e.data[members].astype(np.float64) @ np.asarray(centroid, dtype=np.float64)
-    if strategy is KeepStrategy.LOW_CENTROID_SIM:
-        order = np.argsort(cos, kind="stable")
+        key = hashed_uniform(seed, _TAG_ORDER, ids)
     else:
-        order = np.argsort(-cos, kind="stable")
-    return members[order]
+        # Row by row: one GEMV would round a row's dot product by its position.
+        rows = e.data[members].astype(np.float64)
+        key = np.einsum("ij,j->i", rows, np.asarray(centroid, dtype=np.float64))
+        if strategy is KeepStrategy.HIGH_CENTROID_SIM:
+            key = -key
+    return members[np.lexsort((ids, key))]
 
 
 def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_TILE):

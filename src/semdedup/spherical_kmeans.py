@@ -55,7 +55,7 @@ class KMeansModel:
         if self.centroids.ndim != 2 or self.centroids.shape[0] < 1:
             raise InvalidArgumentError("centroids must be a non-empty 2-D matrix")
         norms = np.linalg.norm(self.centroids.astype(np.float64), axis=1)
-        if np.abs(norms - 1.0).max() > CENTROID_NORM_TOL:
+        if not np.abs(norms - 1.0).max() <= CENTROID_NORM_TOL:  # NaN fails too
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise InvalidArgumentError(f"centroid {worst} has norm {norms[worst]:.9f}")
         if self.assignment.size and int(self.assignment.max()) >= self.k:
@@ -195,20 +195,22 @@ def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int, sample
     return centroids / norms[:, None]
 
 
-def _repair_empty_clusters(assignment, best_cos, sizes) -> int:
+def _repair_empty_clusters(assignment, best_cos, sizes, ids) -> int:
     """Move the globally worst-fitting point into each empty cluster.
 
     Only points in clusters of size >= 2 are candidates, so no donor
-    cluster is emptied. Ties resolve to the lowest point index. Returns
-    the number of moves.
+    cluster is emptied. Ties resolve to the lowest point id, not row.
+    Returns the number of moves.
     """
     moves = 0
     for c in np.flatnonzero(sizes == 0):
         eligible = sizes[assignment] >= 2
         scores = np.where(eligible, best_cos, np.inf)
-        idx = int(np.argmin(scores))
-        if not np.isfinite(scores[idx]):
+        worst = scores.min()
+        if not np.isfinite(worst):
             break  # k == n with duplicates; nothing movable
+        tied = np.flatnonzero(scores == worst)
+        idx = int(tied[np.argmin(ids[tied])])
         sizes[assignment[idx]] -= 1
         assignment[idx] = c
         sizes[c] += 1
@@ -254,7 +256,7 @@ def fit(
             break
         assignment = new_assignment
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
-        _repair_empty_clusters(assignment, best_cos, sizes)
+        _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
 
         sums = _centroid_sums(e.data, assignment, k, threads)
         norms = np.linalg.norm(sums, axis=1)
@@ -327,6 +329,7 @@ def load_model(path) -> KMeansModel:
             raise FormatError("trailing bytes after payload")
     centroids = np.frombuffer(cent_bytes, dtype="<f4", count=k * d).reshape(k, d).copy()
     assignment = np.frombuffer(assign_bytes, dtype="<u4").copy()
-    if assignment.size and int(assignment.max()) >= k:
-        raise FormatError("assignment refers to a cluster >= k")
-    return KMeansModel(centroids=centroids, assignment=assignment)
+    try:
+        return KMeansModel(centroids=centroids, assignment=assignment)
+    except InvalidArgumentError as exc:  # a centroid off the unit sphere, or a bad assignment
+        raise FormatError(f"{path}: {exc}") from None

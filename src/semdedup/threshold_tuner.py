@@ -17,7 +17,7 @@ from ._parallel import map_ordered
 from .dedup_core import KeepStrategy, _prefix_max, cluster_seed, order_cluster
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import BracketError, InvalidArgumentError
-from .rng import stream_for
+from .rng import hashed_uniform
 from .spherical_kmeans import KMeansModel
 
 DEFAULT_TOL_FRACTION = 0.02
@@ -59,8 +59,9 @@ def sample_clusters(model: KMeansModel, fraction: float, seed: int) -> np.ndarra
         raise InvalidArgumentError(f"fraction must be in (0, 1], got {fraction}")
     k = model.k
     count = int(np.ceil(fraction * k))
-    picked = stream_for(seed, _TAG_SAMPLE).sample_without_replacement(k, count)
-    return np.sort(picked)
+    # The clusters with the smallest id-keyed uniforms: a uniform sample.
+    keys = hashed_uniform(seed, _TAG_SAMPLE, np.arange(k))
+    return np.sort(np.argsort(keys, kind="stable")[:count])
 
 
 class _SampledEvaluator:

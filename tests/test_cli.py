@@ -167,6 +167,24 @@ def test_stats_malformed_summary_exit_format(tmp_path, corpus_file):
     assert not (tmp_path / "out").exists()
 
 
+def test_stats_epsilon_must_match_summary(tmp_path, corpus_file):
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"epsilon": 0.3, "per_cluster_removed": [0, 0, 0, 0]}))
+
+    def stats(*flags):
+        return main([
+            "stats", "--input", str(corpus_file), "--model", str(outdir / "model.semk"),
+            "--summary", str(summary), *flags, "--output-dir", str(tmp_path / "out"),
+        ])
+
+    assert stats("--epsilon", "0.05") == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+    assert stats("--epsilon", "0.3") == 0
+    assert stats("--target-fraction", "0.5") == 0
+
+
 def test_config_malformed_exit_validation(tmp_path, corpus_file):
     config = tmp_path / "config.json"
     base = {"input": str(corpus_file), "epsilon": 0.1}

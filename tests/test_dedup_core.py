@@ -18,7 +18,7 @@ from semdedup.dedup_core import (
 from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
-from semdedup.embedding_store import normalize_rows
+from semdedup.embedding_store import UnitEmbeddingMatrix, normalize_rows
 
 from conftest import random_unit, single_cluster_model, unit_rows
 
@@ -50,6 +50,39 @@ def test_order_ties_resolve_to_lower_index():
     assert low.tolist() == [2, 0, 1]
     high = order_cluster(e, np.arange(3), CENTROID, KeepStrategy.HIGH_CENTROID_SIM, seed=0)
     assert high.tolist() == [0, 1, 2]
+
+
+def test_order_ties_resolve_to_lower_id_not_row():
+    e = rows_with_centroid_cos([0.5, 0.5, 0.2])
+    e = UnitEmbeddingMatrix(e.data, np.array([9, 4, 7], dtype=np.uint64))
+    low = order_cluster(e, np.arange(3), CENTROID, KeepStrategy.LOW_CENTROID_SIM, seed=0)
+    assert low.tolist() == [2, 1, 0]
+    high = order_cluster(e, np.arange(3), CENTROID, KeepStrategy.HIGH_CENTROID_SIM, seed=0)
+    assert high.tolist() == [1, 0, 2]
+
+
+def test_order_exact_copies_tie_at_any_row(rng):
+    # Copies of one row get bit-equal cosines wherever they sit, so the lower id leads.
+    base = random_unit(rng, 40, 13)
+    data = base.data.copy()
+    data[[3, 17, 38]] = data[5]
+    ids = np.arange(40, dtype=np.uint64)[::-1].copy()
+    e = UnitEmbeddingMatrix(data, ids)
+    centroid = base.data[:10].astype(np.float64).sum(axis=0)
+    centroid /= np.linalg.norm(centroid)
+    for strategy in (KeepStrategy.LOW_CENTROID_SIM, KeepStrategy.HIGH_CENTROID_SIM):
+        ordered = order_cluster(e, np.arange(40), centroid, strategy, seed=0)
+        pos = [int(np.flatnonzero(ordered == r)[0]) for r in (38, 17, 5, 3)]
+        assert pos == list(range(pos[0], pos[0] + 4))
+
+
+def test_order_random_is_keyed_on_ids(rng):
+    e = random_unit(rng, 30, 4, ids=np.arange(100, 130, dtype=np.uint64))
+    perm = np.random.default_rng(1).permutation(30)
+    moved = UnitEmbeddingMatrix(e.data[perm], e.ids[perm])
+    a = order_cluster(e, np.arange(30), e.data[0], KeepStrategy.RANDOM, seed=5)
+    b = order_cluster(moved, np.arange(30)[::-1], e.data[0], KeepStrategy.RANDOM, seed=5)
+    assert np.array_equal(e.ids[a], moved.ids[b])
 
 
 def test_order_random_is_seeded_permutation(rng):

@@ -220,6 +220,32 @@ def test_normalize_chunks_match_whole_matrix(monkeypatch):
     assert np.array_equal(u.data, reference)
 
 
+def test_load_and_normalize_validate_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.semd"
+    write_embeddings(EmbeddingMatrix(np.random.default_rng(4).standard_normal((30, 6))), path)
+    calls = []
+    original = embedding_store._validate_payload
+    monkeypatch.setattr(embedding_store, "_validate_payload",
+                        lambda data, ids: calls.append(1) or original(data, ids))
+    u = normalize_rows(load_embeddings(path))
+    assert len(calls) == 1
+    assert isinstance(u, UnitEmbeddingMatrix)
+    UnitEmbeddingMatrix(np.array([[1.0, 0.0]], dtype=np.float32))
+    assert len(calls) == 2  # a matrix built by the caller is still checked
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (40, 2048), (300, 24)])
+def test_normalize_output_passes_full_checks(shape):
+    # Magnitudes span 1e-9..1e30: 1e-3..1e30 across rows, 1e-6..1 within a row.
+    local = np.random.default_rng(shape[1])
+    scale = 10.0 ** local.uniform(-3, 30, shape[0])[:, None] * 10.0 ** local.uniform(-6, 0, shape)
+    data = (local.choice([-1.0, 1.0], shape) * scale).astype(np.float32)
+    m = EmbeddingMatrix(data, np.arange(shape[0], dtype=np.uint64) * 7)
+    u = normalize_rows(m)
+    checked = UnitEmbeddingMatrix(u.data, u.ids)
+    assert np.array_equal(checked.data, u.data) and np.array_equal(checked.ids, m.ids)
+
+
 def test_unit_matrix_rejects_off_norm_rows():
     with pytest.raises(InvalidArgumentError, match="norm"):
         UnitEmbeddingMatrix(np.array([[0.5, 0.5]], dtype=np.float32))

@@ -82,7 +82,7 @@ def reference_fit(e, k, iterations, seed, threads):
             break
         assignment = new_assignment
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
-        repairs += _repair_empty_clusters(assignment, best_cos, sizes)
+        repairs += _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
         sums, counts = reference_centroid_sums(e.data, assignment, k, threads)
         norms = np.linalg.norm(sums, axis=1)
         usable = (counts > 0) & (norms > 1e-12)
@@ -322,6 +322,17 @@ def test_empty_cluster_repair_keeps_k_clusters():
     assert int(sizes.sum()) == 4
 
 
+def test_empty_cluster_repair_ties_go_to_lowest_id():
+    # Rows 1 and 3 fit equally badly; row 3 holds the lower id, so it moves.
+    assignment = np.array([0, 0, 0, 0], dtype=np.uint32)
+    best_cos = np.array([0.9, 0.5, 0.8, 0.5])
+    sizes = np.array([4, 0], dtype=np.int64)
+    ids = np.array([10, 40, 20, 30], dtype=np.uint64)
+    assert _repair_empty_clusters(assignment, best_cos, sizes, ids) == 1
+    assert assignment.tolist() == [0, 0, 0, 1]
+    assert sizes.tolist() == [3, 1]
+
+
 def test_model_round_trip(tmp_path, rng):
     e = random_unit(rng, 60, 7)
     model = fit(e, 4, 10, seed=8)
@@ -352,6 +363,12 @@ def test_model_load_rejects_corruption(tmp_path, rng):
     bad.write_bytes(raw + b"\x01")
     with pytest.raises(FormatError, match="trailing"):
         load_model(bad)
+
+    # Centroids start at byte 16: one off the unit sphere, then one NaN component.
+    for value in (2.0, np.nan):
+        bad.write_bytes(raw[:16] + struct.pack("<f", value) + raw[20:])
+        with pytest.raises(FormatError, match="centroid 0 has norm"):
+            load_model(bad)
 
 
 @pytest.mark.parametrize(

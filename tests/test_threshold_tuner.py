@@ -3,7 +3,7 @@ import pytest
 
 from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset
 from semdedup.errors import BracketError, InvalidArgumentError
-from semdedup.spherical_kmeans import fit
+from semdedup.spherical_kmeans import KMeansModel, fit
 from semdedup.threshold_tuner import SizeCurve, sample_clusters, size_curve, tune_epsilon
 
 from conftest import fixed_band_groups, random_unit
@@ -42,6 +42,17 @@ def test_sample_clusters_deterministic_and_distinct(rng):
     b = sample_clusters(model, 0.5, seed=9)
     assert np.array_equal(a, b)
     assert np.unique(a).size == a.size
+
+
+def test_sample_clusters_uniform_without_replacement():
+    model = KMeansModel(np.eye(10), np.arange(10))
+    counts = np.zeros(10, dtype=np.int64)
+    for seed in range(2000):
+        picked = sample_clusters(model, 0.3, seed=seed)
+        assert picked.size == 3 and np.unique(picked).size == 3
+        counts[picked] += 1
+    # Each cluster is expected in 600 of 2000 samples (sd ~20).
+    assert counts.min() > 520 and counts.max() < 680
 
 
 def test_sample_clusters_invalid_fraction(rng):
