@@ -7,7 +7,9 @@ reproducible. Inputs are fully validated before any output file is
 created.
 
 Exit codes: 0 success, 2 validation error, 3 format error, 4 data error,
-5 tuner did not converge.
+5 tuner did not converge: the sampled clusters attain no kept fraction within
+tol_fraction of the target. A target outside [kept(eps_hi) - tol_fraction,
+kept(eps_lo) + tol_fraction] exits 2 instead.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
 )
 from .oracle import generate_planted
 from .spherical_kmeans import fit, load_model, save_model
-from .threshold_tuner import sample_clusters, size_curve, tune_epsilon
+from .threshold_tuner import TuneResult, sample_clusters, size_curve, tune_epsilon
 
 logger = logging.getLogger("semdedup")
 
@@ -68,7 +70,12 @@ _CONFIG_KINDS = {
 
 @dataclass
 class PipelineConfig:
-    """Run parameters; exactly one of epsilon / target_fraction must be set."""
+    """Run parameters; at most one of epsilon / target_fraction may be set.
+
+    Commands that read a threshold check for theirs: dedup needs one of the
+    two, tune a target fraction, efficiency an epsilon. ``max_probes`` bounds
+    nothing since the tuner became exact; it is still accepted and validated.
+    """
 
     input: str = ""
     input_format: str = "binary"
@@ -90,8 +97,8 @@ class PipelineConfig:
     histogram_bins: int = 200
 
     def validate(self) -> None:
-        if (self.epsilon is None) == (self.target_fraction is None):
-            raise InvalidArgumentError("set exactly one of epsilon / target_fraction")
+        if self.epsilon is not None and self.target_fraction is not None:
+            raise InvalidArgumentError("set at most one of epsilon / target_fraction")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise InvalidArgumentError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.target_fraction is not None and not 0.0 < self.target_fraction < 1.0:
@@ -194,23 +201,28 @@ def _tune(cfg: PipelineConfig, corpus, model, threads: int):
     )
 
 
-def _load_model_for(corpus, model_path: str):
+def _tuning_dict(cfg: PipelineConfig, tuned: TuneResult) -> dict:
+    return {"target_fraction": cfg.target_fraction, **asdict(tuned)}
+
+
+def _inputs(cfg: PipelineConfig, model_path: str):
+    """The normalized corpus, its checked model and the resolved thread count."""
+    corpus = _load_corpus(cfg)
     model = load_model(model_path)
     model.check_matches(corpus)
-    return model
+    return corpus, model, resolve_threads(cfg.threads)
 
 
 def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
-    corpus = _load_corpus(cfg)
-    model = _load_model_for(corpus, model_path)
-    threads = resolve_threads(cfg.threads)
+    if cfg.epsilon is None and cfg.target_fraction is None:
+        raise InvalidArgumentError("dedup requires epsilon or target_fraction")
+    corpus, model, threads = _inputs(cfg, model_path)
 
-    tune_info = None
+    tuned = None
     epsilon = cfg.epsilon
     if epsilon is None:
         tuned = _tune(cfg, corpus, model, threads)
         epsilon = tuned.epsilon
-        tune_info = tuned
         logger.info(
             "tuned epsilon=%.6g (sampled kept fraction %.4f, %d probes, converged=%s)",
             tuned.epsilon, tuned.achieved_fraction, tuned.probes, tuned.converged,
@@ -226,13 +238,8 @@ def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
     )
 
     summary = summary_dict(result, dedup_cfg, corpus.n, model.k)
-    if tune_info is not None:
-        summary["tuning"] = {
-            "target_fraction": cfg.target_fraction,
-            "achieved_fraction_sampled": tune_info.achieved_fraction,
-            "probes": tune_info.probes,
-            "converged": tune_info.converged,
-        }
+    if tuned is not None:
+        summary["tuning"] = _tuning_dict(cfg, tuned)
     ids = kept_ids(corpus, result)
     _emit(
         Path(cfg.output_dir),
@@ -242,26 +249,15 @@ def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
             "summary.json": lambda p: _write_json(p, summary),
         },
     )
-    if tune_info is not None and not tune_info.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if tuned is not None and not tuned.converged else EXIT_OK
 
 
 def cmd_tune(cfg: PipelineConfig, model_path: str, curve_csv: bool) -> int:
     if cfg.target_fraction is None:
         raise InvalidArgumentError("tune requires target_fraction")
-    corpus = _load_corpus(cfg)
-    model = _load_model_for(corpus, model_path)
-    threads = resolve_threads(cfg.threads)
+    corpus, model, threads = _inputs(cfg, model_path)
     tuned = _tune(cfg, corpus, model, threads)
-    payload = {
-        "epsilon": tuned.epsilon,
-        "achieved_fraction": tuned.achieved_fraction,
-        "probes": tuned.probes,
-        "converged": tuned.converged,
-        "curve": [[x, f] for x, f in tuned.curve],
-    }
-    files = {"tune.json": lambda p: _write_json(p, payload)}
+    files = {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))}
     if curve_csv:
         files["curve.csv"] = lambda p: _write_curve_csv(p, tuned.curve)
     _emit(Path(cfg.output_dir), cfg, files)
@@ -280,9 +276,7 @@ def cmd_sweep(cfg: PipelineConfig, model_path: str, epsilons: list) -> int:
         raise InvalidArgumentError("sweep requires a non-empty epsilon list")
     if any(b <= a for a, b in zip(epsilons, epsilons[1:])):
         raise InvalidArgumentError("sweep epsilons must be strictly increasing")
-    corpus = _load_corpus(cfg)
-    model = _load_model_for(corpus, model_path)
-    threads = resolve_threads(cfg.threads)
+    corpus, model, threads = _inputs(cfg, model_path)
     curve = size_curve(
         corpus,
         model,
@@ -314,9 +308,7 @@ def _read_summary(summary_path: str) -> tuple[float, np.ndarray]:
 
 
 def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
-    corpus = _load_corpus(cfg)
-    model = _load_model_for(corpus, model_path)
-    threads = resolve_threads(cfg.threads)
+    corpus, model, threads = _inputs(cfg, model_path)
     epsilon, removed = _read_summary(summary_path)
     if cfg.epsilon is not None and cfg.epsilon != epsilon:
         raise InvalidArgumentError(f"epsilon {cfg.epsilon} differs from the summary's {epsilon}")
@@ -375,9 +367,7 @@ def cmd_intersect(path_a: str, path_b: str) -> int:
 def cmd_efficiency(cfg: PipelineConfig, model_path: str) -> int:
     if cfg.epsilon is None:
         raise InvalidArgumentError("efficiency requires epsilon")
-    corpus = _load_corpus(cfg)
-    model = _load_model_for(corpus, model_path)
-    threads = resolve_threads(cfg.threads)
+    corpus, model, threads = _inputs(cfg, model_path)
     m_eff = min(cfg.neighbors, model.k - 1)
     eta = dedup_efficiency(corpus, model, cfg.epsilon, m_eff, tile=cfg.tile, threads=threads)
     print(json.dumps({"epsilon": cfg.epsilon, "m_neighbors": m_eff, "eta": eta}))

@@ -1,10 +1,13 @@
 """Estimate the threshold that hits a target kept-fraction.
 
 Kept fraction is evaluated on a sampled subset of clusters (sampling 10% is
-usually enough to approximate the full-corpus size) and the threshold is
-located by bounded secant iteration with re-bracketing. Kept fraction is a
-step function of the threshold on finite data, so convergence is declared on
-fraction tolerance, never on threshold tolerance.
+usually enough to approximate the full-corpus size). The keep order does not
+depend on epsilon, so each sampled point's prefix maximum p decides it at
+every threshold: it is kept iff p <= 1 - epsilon. The sampled kept fraction
+is therefore an order statistic of the sorted maxima, a step function of
+epsilon that changes only at epsilon = 1 - p. The tuner evaluates every such
+step inside the search range at once and returns the one nearest the target,
+so it never misses a fraction the sample can attain.
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ class SizeCurve:
 
 @dataclass
 class TuneResult:
+    """Outcome of ``tune_epsilon``.
+
+    ``epsilon`` is the chosen threshold and ``achieved_fraction`` its sampled
+    kept fraction, equal to ``size_curve`` at that epsilon. ``converged`` is
+    true when it lies within ``tol_fraction`` of the target. ``curve`` holds
+    the sorted (epsilon, fraction) pairs of both range ends and the answer,
+    and ``probes`` is their count.
+    """
+
     epsilon: float
     achieved_fraction: float
     probes: int
@@ -64,45 +76,35 @@ def sample_clusters(model: KMeansModel, fraction: float, seed: int) -> np.ndarra
     return np.sort(np.argsort(keys, kind="stable")[:count])
 
 
-class _SampledEvaluator:
-    """Kept-fraction evaluation over fixed clusters, reusing prefix maxima.
+def _sampled_maxima(e, model, sample, strategy, seed, tile, threads) -> np.ndarray:
+    """Sorted prefix maxima of the sampled points, from the dedup pass's own kernel."""
+    model.check_matches(e)
+    sample = np.asarray(sample, dtype=np.int64)
+    if sample.size == 0:
+        raise InvalidArgumentError("cluster sample is empty")
+    if np.unique(sample).size != sample.size:
+        raise InvalidArgumentError("cluster sample contains repeats")
+    if sample.min() < 0 or sample.max() >= model.k:
+        raise InvalidArgumentError("cluster sample index out of range")
 
-    The greedy ordering does not depend on epsilon, so each sampled
-    cluster's prefix-max vector is computed once (by the same tiled kernel
-    the dedup pass uses) and every threshold probe is a pure counting step
-    against it.
-    """
+    def one(c: int) -> np.ndarray:
+        members = model.members[int(c)]
+        if members.size <= 1:
+            return np.zeros(members.size, dtype=np.float64)
+        ordered = order_cluster(
+            e, members, model.centroids[int(c)], strategy, cluster_seed(seed, int(c))
+        )
+        return _prefix_max(e, ordered, tile)
 
-    def __init__(self, e, model, sample, strategy, seed, tile, threads):
-        model.check_matches(e)
-        sample = np.asarray(sample, dtype=np.int64)
-        if sample.size == 0:
-            raise InvalidArgumentError("cluster sample is empty")
-        if np.unique(sample).size != sample.size:
-            raise InvalidArgumentError("cluster sample contains repeats")
-        if sample.min() < 0 or sample.max() >= model.k:
-            raise InvalidArgumentError("cluster sample index out of range")
+    maxima = np.sort(np.concatenate(map_ordered(one, list(sample), threads)))
+    if maxima.size == 0:
+        raise InvalidArgumentError("sampled clusters contain no points")
+    return maxima
 
-        def one(c: int) -> np.ndarray:
-            members = model.members[int(c)]
-            if members.size <= 1:
-                return np.zeros(members.size, dtype=np.float64)
-            ordered = order_cluster(
-                e, members, model.centroids[int(c)], strategy, cluster_seed(seed, int(c))
-            )
-            return _prefix_max(e, ordered, tile)
 
-        maxima = map_ordered(one, list(sample), threads)
-        self._maxima = np.concatenate([m for m in maxima if m.size]) if maxima else np.zeros(0)
-        self.total = int(self._maxima.size)
-        if self.total == 0:
-            raise InvalidArgumentError("sampled clusters contain no points")
-
-    def kept_fraction(self, epsilon: float) -> float:
-        if not 0.0 < epsilon < 1.0:
-            raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
-        kept = int(np.count_nonzero(self._maxima <= 1.0 - epsilon))
-        return kept / self.total
+def _kept_fractions(maxima: np.ndarray, epsilons) -> np.ndarray:
+    """Sampled kept fraction at each epsilon: the share of maxima <= 1 - epsilon."""
+    return np.searchsorted(maxima, 1.0 - np.asarray(epsilons), side="right") / maxima.size
 
 
 def size_curve(
@@ -123,11 +125,9 @@ def size_curve(
         raise InvalidArgumentError("epsilon list must be non-decreasing")
     if any(not 0.0 < x < 1.0 for x in eps):
         raise InvalidArgumentError("epsilons must lie in (0, 1)")
-    evaluator = _SampledEvaluator(e, model, sample, strategy, seed, tile, threads)
-    points = []
-    for x in sorted(set(eps)):
-        points.append((x, evaluator.kept_fraction(x)))
-    return SizeCurve(points)
+    eps = sorted(set(eps))
+    maxima = _sampled_maxima(e, model, sample, strategy, seed, tile, threads)
+    return SizeCurve([(x, float(f)) for x, f in zip(eps, _kept_fractions(maxima, eps))])
 
 
 def tune_epsilon(
@@ -144,14 +144,15 @@ def tune_epsilon(
     tile: int = 1024,
     threads: int = 1,
 ) -> TuneResult:
-    """Find a threshold whose sampled kept-fraction is near the target.
+    """The threshold in [eps_lo, eps_hi] whose sampled kept-fraction is nearest the target.
 
-    Requires kept_fraction(eps_lo) >= target >= kept_fraction(eps_hi); the
-    bracket is maintained across probes and each new probe interpolates
-    linearly between the bracketing pair (falling back to bisection when
-    interpolation stalls at an endpoint). Returns the first probe within
-    ``tol_fraction`` of the target, or the best probe seen with
-    ``converged=False`` once ``max_probes`` evaluations are spent.
+    Every attainable fraction is evaluated: the two range ends and the step
+    1 - p of each sampled prefix maximum p strictly inside the range. Ties go
+    to the smaller epsilon. Raises ``BracketError`` when the target lies
+    outside [kept(eps_hi) - tol_fraction, kept(eps_lo) + tol_fraction]; inside
+    it, ``converged=False`` means the sample attains no fraction within
+    ``tol_fraction`` of the target. ``max_probes`` is validated but bounds
+    nothing, since the search is exact; it stays for callers that pass it.
     """
     if not 0.0 < target_fraction < 1.0:
         raise InvalidArgumentError(f"target_fraction must be in (0, 1), got {target_fraction}")
@@ -162,57 +163,26 @@ def tune_epsilon(
     if max_probes < 1:
         raise InvalidArgumentError("max_probes must be >= 1")
 
-    evaluator = _SampledEvaluator(e, model, sample, strategy, seed, tile, threads)
-    history: list[tuple[float, float]] = []
-
-    def probe(x: float) -> float:
-        value = evaluator.kept_fraction(x)
-        history.append((x, value))
-        return value
-
-    def result(x: float, value: float, converged: bool) -> TuneResult:
-        return TuneResult(
-            epsilon=x,
-            achieved_fraction=value,
-            probes=len(history),
-            converged=converged,
-            curve=sorted(history),
-        )
-
-    def best_so_far() -> TuneResult:
-        x, value = min(history, key=lambda p: abs(p[1] - target_fraction))
-        return result(x, value, False)
-
-    f_lo = probe(eps_lo)
-    if abs(f_lo - target_fraction) <= tol_fraction:
-        return result(eps_lo, f_lo, True)
-    if len(history) >= max_probes:
-        return best_so_far()
-
-    f_hi = probe(eps_hi)
-    if abs(f_hi - target_fraction) <= tol_fraction:
-        return result(eps_hi, f_hi, True)
-    if not f_lo >= target_fraction >= f_hi:
+    maxima = _sampled_maxima(e, model, sample, strategy, seed, tile, threads)
+    inside = maxima[(eps_lo < 1.0 - maxima) & (1.0 - maxima < eps_hi)]
+    steps = 1.0 - inside
+    # Below p = 0.5, 1 - (1 - p) can round under p; one ulp less epsilon keeps p.
+    steps = np.where(1.0 - steps < inside, np.nextafter(steps, 0.0), steps)
+    eps = np.unique(np.concatenate(([eps_lo, eps_hi], steps)))
+    fractions = _kept_fractions(maxima, eps)
+    f_lo, f_hi = float(fractions[0]), float(fractions[-1])
+    if not f_hi - tol_fraction <= target_fraction <= f_lo + tol_fraction:
         raise BracketError(
             f"target {target_fraction} not bracketed: kept({eps_lo})={f_lo:.6f}, "
             f"kept({eps_hi})={f_hi:.6f}"
         )
-
-    lo, hi = eps_lo, eps_hi
-    while len(history) < max_probes:
-        span = hi - lo
-        if f_lo > f_hi:
-            x = lo + (f_lo - target_fraction) * span / (f_lo - f_hi)
-        else:
-            x = lo + 0.5 * span
-        # Interpolation can stall on a step function; bisect instead.
-        if not lo + 1e-15 < x < hi - 1e-15:
-            x = lo + 0.5 * span
-        value = probe(x)
-        if abs(value - target_fraction) <= tol_fraction:
-            return result(x, value, True)
-        if value >= target_fraction:
-            lo, f_lo = x, value
-        else:
-            hi, f_hi = x, value
-    return best_so_far()
+    best = int(np.argmin(np.abs(fractions - target_fraction)))
+    epsilon, achieved = float(eps[best]), float(fractions[best])
+    curve = sorted({(eps_lo, f_lo), (eps_hi, f_hi), (epsilon, achieved)})
+    return TuneResult(
+        epsilon=epsilon,
+        achieved_fraction=achieved,
+        probes=len(curve),
+        converged=abs(achieved - target_fraction) <= tol_fraction,
+        curve=curve,
+    )

@@ -61,6 +61,21 @@ def fixed_band_groups(n_groups: int, group_size: int, d: int, theta: float,
     return matrix, groups
 
 
+def exact_step_pairs() -> UnitEmbeddingMatrix:
+    """32 rows in d = 16 forming 16 pairs whose cosine is exactly 0.875.
+
+    Row g is Hadamard row g over 4 and its partner flips the sign of
+    coordinate g. Every coordinate is +-0.25, so norms and dot products are
+    exact in float32 and float64: 1 - 2/16 = 0.875 within a pair and at most
+    0.25 in magnitude across pairs. With k = 1 the kept fraction is 1.0 for
+    epsilon <= 0.125 and 0.5 above it, with nothing in between.
+    """
+    h = np.ones((1, 1))
+    while h.shape[0] < 16:
+        h = np.block([[h, h], [h, -h]])
+    return unit_rows(np.vstack([h, h * (1.0 - 2.0 * np.eye(16))]) / 4.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -8,7 +8,7 @@ from semdedup.cli import main
 from semdedup.embedding_store import EmbeddingMatrix, write_embeddings
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VALIDATION
 
-from conftest import fixed_band_groups
+from conftest import exact_step_pairs, fixed_band_groups
 
 
 @pytest.fixture
@@ -204,6 +204,31 @@ def test_nan_input_exit_data(tmp_path):
     assert run_cluster(bad, tmp_path / "out") == EXIT_DATA
 
 
+def test_commands_require_only_the_thresholds_they_read(tmp_path, corpus_file):
+    outdir = tmp_path / "run"
+    model = str(outdir / "model.semk")
+    common = ["--input", str(corpus_file), "--output-dir", str(outdir)]
+    assert main(["cluster", *common, "--k", "4"]) == 0
+    assert main(["dedup", *common, "--model", model, "--epsilon", "0.3"]) == 0
+    # No threshold flag: sweep and stats read none, stats takes the summary's.
+    assert main(["sweep", *common, "--model", model, "--epsilons", "0.1,0.3"]) == 0
+    stats = ["stats", *common, "--model", model, "--summary", str(outdir / "summary.json")]
+    assert main(stats) == 0
+    unflagged = (outdir / "stats.json").read_bytes()
+    assert main([*stats, "--epsilon", "0.3"]) == 0
+    assert (outdir / "stats.json").read_bytes() == unflagged
+
+    other = tmp_path / "other"
+    for command in ("dedup", "tune", "efficiency"):
+        assert main([command, "--input", str(corpus_file), "--model", model,
+                     "--output-dir", str(other)]) == EXIT_VALIDATION
+    assert main(["tune", "--input", str(corpus_file), "--model", model, "--epsilon", "0.3",
+                 "--output-dir", str(other)]) == EXIT_VALIDATION
+    assert main(["efficiency", "--input", str(corpus_file), "--model", model,
+                 "--target-fraction", "0.5", "--output-dir", str(other)]) == EXIT_VALIDATION
+    assert not other.exists()
+
+
 def test_both_epsilon_and_target_rejected(tmp_path, corpus_file):
     code = main([
         "cluster", "--input", str(corpus_file), "--k", "2",
@@ -271,17 +296,38 @@ def test_tune_subcommand_writes_curve(tmp_path, step_corpus_file):
     assert len(lines) == tune["probes"] + 1
 
 
-def test_tune_not_converged_exit_code(tmp_path, step_corpus_file):
+def test_tune_not_converged_exit_code(tmp_path):
+    # One genuine step: kept fraction 1.0 up to epsilon 0.125, then 0.5.
+    corpus = tmp_path / "pairs.semd"
+    write_embeddings(exact_step_pairs(), corpus)
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus, outdir, k=1) == 0
+    args = ["--input", str(corpus), "--model", str(outdir / "model.semk"),
+            "--target-fraction", "0.7", "--sample-fraction", "1.0",
+            "--eps-lo", "0.01", "--eps-hi", "0.5", "--output-dir", str(outdir)]
+    assert main(["tune", *args]) == EXIT_NOT_CONVERGED
+    tune = json.loads((outdir / "tune.json").read_text())
+    assert tune["converged"] is False
+    assert (tune["epsilon"], tune["achieved_fraction"]) == (0.5, 0.5)
+    # dedup writes its outputs, then exits 5 as well.
+    assert main(["dedup", *args]) == EXIT_NOT_CONVERGED
+    assert json.loads((outdir / "summary.json").read_text())["tuning"] == tune
+
+
+def test_dedup_tuning_summary_matches_tune_output(tmp_path, step_corpus_file):
     outdir = tmp_path / "run"
     assert run_cluster(step_corpus_file, outdir, k=1) == 0
-    code = main([
-        "tune", "--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
-        "--target-fraction", "0.93", "--sample-fraction", "1.0",
-        "--eps-lo", "0.001", "--eps-hi", "0.2", "--tol-fraction", "0.0001",
-        "--output-dir", str(outdir),
-    ])
-    assert code == EXIT_NOT_CONVERGED
-    assert json.loads((outdir / "tune.json").read_text())["converged"] is False
+    args = ["--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
+            "--target-fraction", "0.9", "--sample-fraction", "1.0",
+            "--eps-lo", "0.001", "--eps-hi", "0.2", "--output-dir", str(outdir)]
+    assert main(["tune", *args]) == 0
+    assert main(["dedup", *args]) == 0
+    tune = json.loads((outdir / "tune.json").read_text())
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["tuning"] == tune
+    assert tune["target_fraction"] == 0.9
+    assert summary["epsilon"] == tune["epsilon"]
+    assert [tune["epsilon"], tune["achieved_fraction"]] in tune["curve"]
 
 
 def test_sweep_single_epsilon_matches_dedup(tmp_path, corpus_file):

@@ -1,4 +1,4 @@
-"""Hypothesis properties: dedup invariances and hostile file headers."""
+"""Hypothesis properties: dedup invariances, the exact tuner and hostile file headers."""
 
 import struct
 
@@ -15,8 +15,9 @@ from semdedup.embedding_store import (
     normalize_rows,
     write_embeddings,
 )
-from semdedup.errors import EXIT_DATA, EXIT_FORMAT, SemDedupError, exit_code_for
+from semdedup.errors import EXIT_DATA, EXIT_FORMAT, BracketError, SemDedupError, exit_code_for
 from semdedup.spherical_kmeans import KMeansModel, fit, load_model, save_model
+from semdedup.threshold_tuner import sample_clusters, size_curve, tune_epsilon
 
 # Derandomized, so a run is reproducible; each test still sees many examples.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -82,6 +83,34 @@ def test_keep_sets_nested_in_epsilon(corpus, strategy, eps_a, eps_b):
     loose = _kept(e, model, strategy, lo).keep
     strict = _kept(e, model, strategy, hi).keep
     assert not (strict & ~loose).any()
+
+
+@settings(PROPERTY, max_examples=100)
+@given(planted_corpora(), st.sampled_from(STRATEGIES), st.floats(0.2, 1.0), st.floats(0.0005, 0.3),
+       st.floats(0.01, 0.6), st.floats(-0.2, 1.2), st.floats(0.001, 0.05))
+def test_tuner_returns_nearest_attainable_fraction(corpus, strategy, sample_fraction, eps_lo, width,
+                                                   position, tol):
+    e, model = corpus
+    eps_hi = eps_lo + width
+    sample = sample_clusters(model, sample_fraction, seed=5)
+
+    def kept(epsilons):
+        return [f for _, f in size_curve(e, model, sample, strategy, epsilons, seed=3).points]
+
+    grid = kept(np.linspace(eps_lo, eps_hi, 1001).tolist())
+    # Mostly between the fractions at the range ends, sometimes past them.
+    target = float(np.clip(grid[-1] + position * (grid[0] - grid[-1]), 0.001, 0.999))
+    try:
+        result = tune_epsilon(e, model, sample, strategy, target, eps_lo, eps_hi,
+                              tol_fraction=tol, seed=3)
+    except BracketError:
+        assert not grid[-1] - tol <= target <= grid[0] + tol
+        return
+    assert eps_lo <= result.epsilon <= eps_hi
+    assert kept([result.epsilon]) == [result.achieved_fraction]
+    gap = abs(result.achieved_fraction - target)
+    assert all(abs(f - target) >= gap for f in grid)
+    assert result.converged == (gap <= tol)
 
 
 def _load_or_fail_cleanly(load, path):

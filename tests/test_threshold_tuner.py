@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from semdedup import threshold_tuner
 from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset
 from semdedup.errors import BracketError, InvalidArgumentError
 from semdedup.spherical_kmeans import KMeansModel, fit
 from semdedup.threshold_tuner import SizeCurve, sample_clusters, size_curve, tune_epsilon
 
-from conftest import fixed_band_groups, random_unit
+from conftest import exact_step_pairs, fixed_band_groups, random_unit, single_cluster_model
 
 
 def step_corpus():
@@ -117,7 +118,12 @@ def test_size_curve_invariant_validation():
         SizeCurve([(0.1, 0.0)])
 
 
-def test_tune_endpoint_hit_returns_after_one_probe(rng):
+def _sampled(e, model, sample, eps):
+    """size_curve's kept fraction at one epsilon."""
+    return size_curve(e, model, sample, KeepStrategy.LOW_CENTROID_SIM, [eps]).points[0][1]
+
+
+def test_tune_endpoint_hit_returns_endpoint(rng):
     e = random_unit(rng, 60, 16)
     model = fit(e, 3, 10, seed=0)
     sample = np.arange(3)
@@ -126,10 +132,12 @@ def test_tune_endpoint_hit_returns_after_one_probe(rng):
         e, model, sample, KeepStrategy.LOW_CENTROID_SIM,
         target_fraction=0.999, eps_lo=1e-6, eps_hi=0.5, tol_fraction=0.002,
     )
-    assert result.probes == 1
     assert result.converged
     assert result.epsilon == 1e-6
     assert result.achieved_fraction == 1.0
+    # The curve holds both range ends, here one of them the answer.
+    assert result.curve == [(1e-6, 1.0), (0.5, _sampled(e, model, sample, 0.5))]
+    assert result.probes == len(result.curve) == 2
 
 
 def test_tune_single_step_corpus_converges():
@@ -144,14 +152,55 @@ def test_tune_single_step_corpus_converges():
     assert result.probes <= 8
     assert abs(result.achieved_fraction - 0.87) <= 0.02
 
-    # Replay the probe history: the bracket must hold after every probe.
-    lo, f_lo = result.curve[0][0], None
-    history = {eps: frac for eps, frac in result.curve}
-    f_lo = history[0.001]
-    f_hi = history[0.2]
-    assert f_lo >= 0.87 >= f_hi
-    for eps, frac in sorted(history.items()):
-        assert 0.001 <= eps <= 0.2
+    # Every curve point is size_curve's fraction at its epsilon, and the
+    # range ends bracket the target.
+    history = dict(result.curve)
+    assert {0.001, 0.2, result.epsilon} == set(history)
+    for eps, frac in history.items():
+        assert frac == _sampled(e, model, sample, eps)
+    assert history[0.001] >= 0.87 >= history[0.2]
+
+
+def test_tune_mid_step_target_converges_exactly():
+    e, model = step_corpus()
+    sample = np.arange(1)
+    # The within-pair cosines differ by float32 rounding, so each of the 140
+    # pairs is its own step and every fraction 0.860, 0.861, ... 1.0 is attained.
+    result = tune_epsilon(
+        e, model, sample, KeepStrategy.LOW_CENTROID_SIM,
+        target_fraction=0.93, eps_lo=0.001, eps_hi=0.2,
+        tol_fraction=0.001, max_probes=1,
+    )
+    assert result.converged
+    assert abs(result.achieved_fraction - 0.93) <= 0.001
+    assert result.achieved_fraction == _sampled(e, model, sample, result.epsilon)
+
+
+def test_tune_attains_steps_below_half(monkeypatch):
+    # 1 - (1 - 0.2) rounds to 0.19999999999999996, so epsilon = 1 - 0.2
+    # alone would drop the point whose maximum is 0.2.
+    monkeypatch.setattr(threshold_tuner, "_sampled_maxima", lambda *a: np.array([0.0, 0.2, 0.95]))
+    result = tune_epsilon(None, None, None, KeepStrategy.LOW_CENTROID_SIM,
+                          target_fraction=0.66, eps_lo=0.01, eps_hi=0.99, tol_fraction=0.01)
+    assert result.converged
+    assert result.achieved_fraction == 2 / 3
+    assert 1.0 - result.epsilon >= 0.2
+
+
+def test_tune_genuine_step_not_converged():
+    e = exact_step_pairs()
+    model = single_cluster_model(e)
+    sample = np.arange(1)
+    assert _sampled(e, model, sample, 0.125) == 1.0
+    assert _sampled(e, model, sample, 0.126) == 0.5
+    result = tune_epsilon(
+        e, model, sample, KeepStrategy.LOW_CENTROID_SIM,
+        target_fraction=0.7, eps_lo=0.01, eps_hi=0.5, tol_fraction=0.02,
+    )
+    # Nothing between the plateaus: the nearest attainable fraction is 0.5.
+    assert not result.converged
+    assert (result.epsilon, result.achieved_fraction) == (0.5, 0.5)
+    assert result.curve == [(0.01, 1.0), (0.5, 0.5)]
 
 
 def test_tune_unbracketed_raises(rng):
@@ -164,21 +213,6 @@ def test_tune_unbracketed_raises(rng):
             e, model, sample, KeepStrategy.LOW_CENTROID_SIM,
             target_fraction=0.5, eps_lo=1e-6, eps_hi=1e-5, tol_fraction=0.01,
         )
-
-
-def test_tune_probe_budget_respected():
-    e, model = step_corpus()
-    sample = np.arange(1)
-    # Target sits mid-step with a tolerance too tight to ever satisfy.
-    result = tune_epsilon(
-        e, model, sample, KeepStrategy.LOW_CENTROID_SIM,
-        target_fraction=0.93, eps_lo=0.001, eps_hi=0.2,
-        tol_fraction=0.001, max_probes=6,
-    )
-    assert not result.converged
-    assert result.probes == 6
-    # Best probe is one of the two attainable plateau values.
-    assert result.achieved_fraction in (1.0, pytest.approx(0.86))
 
 
 def test_tune_full_sample_matches_dedup_exactly():
