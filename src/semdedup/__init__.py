@@ -22,6 +22,8 @@ from .dedup_core import (
     dedup_cluster,
     dedup_dataset,
     order_cluster,
+    prefix_maxima,
+    threshold,
 )
 from .embedding_store import (
     EmbeddingMatrix,
@@ -85,10 +87,12 @@ __all__ = [
     "normalize_rows",
     "order_cluster",
     "per_cluster_stats",
+    "prefix_maxima",
     "sample_clusters",
     "save_model",
     "similarity_histogram",
     "size_curve",
+    "threshold",
     "tune_epsilon",
     "write_embeddings",
     "write_subset",

@@ -37,10 +37,11 @@ from .analysis_metrics import (
 from .dedup_core import (
     DedupConfig,
     KeepStrategy,
-    dedup_dataset,
     kept_ids,
+    prefix_maxima,
     read_keep_list,
     summary_dict,
+    threshold,
     write_keep_list,
 )
 from .embedding_store import load_embeddings, normalize_rows, write_embeddings
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .oracle import generate_planted
 from .spherical_kmeans import fit, load_model, save_model
-from .threshold_tuner import TuneResult, sample_clusters, size_curve, tune_epsilon
+from .threshold_tuner import check_search, sample_clusters, select_epsilon, size_curve, sorted_maxima
 
 logger = logging.getLogger("semdedup")
 
@@ -119,6 +120,9 @@ class PipelineConfig:
             raise InvalidArgumentError("threads must be >= 0 (0 = auto)")
         if self.tile < 1:
             raise InvalidArgumentError("tile must be >= 1")
+        check_search(self.eps_lo, self.eps_hi, self.tol_fraction, self.max_probes)
+        if self.histogram_bins < 2:
+            raise InvalidArgumentError("histogram_bins must be >= 2")
         KeepStrategy.parse(self.strategy)
 
     @classmethod
@@ -183,25 +187,13 @@ def cmd_cluster(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _tune(cfg: PipelineConfig, corpus, model, threads: int):
-    sample = sample_clusters(model, cfg.sample_fraction, cfg.seed)
-    return tune_epsilon(
-        corpus,
-        model,
-        sample,
-        _strategy(cfg),
-        cfg.target_fraction,
-        cfg.eps_lo,
-        cfg.eps_hi,
-        tol_fraction=cfg.tol_fraction,
-        max_probes=cfg.max_probes,
-        seed=cfg.seed,
-        tile=cfg.tile,
-        threads=threads,
-    )
+def _tune(cfg: PipelineConfig, model, pmax: np.ndarray, sample: np.ndarray):
+    """Epsilon picked on the rows of ``pmax`` in the sampled clusters."""
+    maxima = sorted_maxima(pmax, model, sample)
+    return select_epsilon(maxima, cfg.target_fraction, cfg.eps_lo, cfg.eps_hi, cfg.tol_fraction)
 
 
-def _tuning_dict(cfg: PipelineConfig, tuned: TuneResult) -> dict:
+def _tuning_dict(cfg: PipelineConfig, tuned) -> dict:
     return {"target_fraction": cfg.target_fraction, **asdict(tuned)}
 
 
@@ -218,20 +210,20 @@ def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
         raise InvalidArgumentError("dedup requires epsilon or target_fraction")
     corpus, model, threads = _inputs(cfg, model_path)
 
+    pmax = prefix_maxima(corpus, model, _strategy(cfg), cfg.seed, cfg.tile, threads)
+
     tuned = None
     epsilon = cfg.epsilon
     if epsilon is None:
-        tuned = _tune(cfg, corpus, model, threads)
+        tuned = _tune(cfg, model, pmax, sample_clusters(model, cfg.sample_fraction, cfg.seed))
         epsilon = tuned.epsilon
         logger.info(
             "tuned epsilon=%.6g (sampled kept fraction %.4f, %d probes, converged=%s)",
             tuned.epsilon, tuned.achieved_fraction, tuned.probes, tuned.converged,
         )
 
-    dedup_cfg = DedupConfig(
-        epsilon=epsilon, strategy=_strategy(cfg), seed=cfg.seed, tile=cfg.tile
-    )
-    result = dedup_dataset(corpus, model, dedup_cfg, threads=threads)
+    dedup_cfg = DedupConfig(epsilon=epsilon, strategy=_strategy(cfg), seed=cfg.seed, tile=cfg.tile)
+    result = threshold(pmax, epsilon, model)
     logger.info(
         "kept %d / %d points (%.4f) using %d comparisons",
         result.kept_count, corpus.n, result.kept_fraction, result.comparisons,
@@ -256,7 +248,9 @@ def cmd_tune(cfg: PipelineConfig, model_path: str, curve_csv: bool) -> int:
     if cfg.target_fraction is None:
         raise InvalidArgumentError("tune requires target_fraction")
     corpus, model, threads = _inputs(cfg, model_path)
-    tuned = _tune(cfg, corpus, model, threads)
+    sample = sample_clusters(model, cfg.sample_fraction, cfg.seed)
+    pmax = prefix_maxima(corpus, model, _strategy(cfg), cfg.seed, cfg.tile, threads, sample)
+    tuned = _tune(cfg, model, pmax, sample)
     files = {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))}
     if curve_csv:
         files["curve.csv"] = lambda p: _write_curve_csv(p, tuned.curve)

@@ -7,13 +7,20 @@ survives). Removed points still block later ones, which makes the rule a
 pure prefix test: on a chain a~b, b~c with a and c dissimilar, both b and c
 are removed.
 
+The order does not depend on epsilon, so each point's prefix maximum (pmax)
+is the one epsilon-dependent artifact: ``prefix_maxima`` alone orders and
+sweeps clusters, and dedup, tuner and sweep threshold its row-aligned result.
+It looks ``order_cluster`` and ``dedup_cluster`` up through this module once
+per cluster of two or more members, so a caller can wrap them to time each
+cluster; that is why ``dedup_cluster`` keeps its name though it returns maxima.
+
 Every pairwise cosine in the package (dedup, tuner and metrics; not the
 independent oracle) comes from one tile generator, ``pair_tiles``. It yields
 float64 tiles of ``a @ b.T``. Given ``b``, the tiles cover every (row of a,
 row of b) pair. Without ``b`` they cover each unordered pair within ``a`` once,
 as (earlier, later): only tiles with j0 >= i0 are computed, and in a
 diagonal tile the entries on and below the diagonal are -inf. ``tile``
-changes speed and memory only, never a result.
+changes speed and memory, and a cosine only within float64 rounding.
 """
 
 from __future__ import annotations
@@ -124,39 +131,58 @@ def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_T
             yield i0, j0, sims
 
 
-def _prefix_max(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int) -> np.ndarray:
-    """For each position p, max cosine to positions q < p (0 when empty)."""
-    prefix = np.zeros(ordered.size, dtype=np.float64)
+def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAULT_TILE) -> np.ndarray:
+    """Each point's max cosine to the points before it in ``ordered`` (0 for the first)."""
+    prefix = np.zeros(len(ordered), dtype=np.float64)
     for _, j0, sims in pair_tiles(e.data[ordered], tile=tile):
         seg = prefix[j0:j0 + sims.shape[1]]
         np.maximum(seg, sims.max(axis=0), out=seg)
     return prefix
 
 
-def dedup_cluster(
-    e: UnitEmbeddingMatrix,
-    ordered: np.ndarray,
-    epsilon: float,
-    tile: int = DEFAULT_TILE,
-) -> tuple[np.ndarray, int]:
-    """Greedy keep flags (aligned with ``ordered``) and the comparison count.
-
-    The comparison count is the number of unordered pairs in the cluster,
-    m*(m-1)/2, independent of tiling.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
-    ordered = np.asarray(ordered, dtype=np.int64)
-    m = ordered.size
-    if m == 0:
-        return np.zeros(0, dtype=bool), 0
-    keep = _prefix_max(e, ordered, tile) <= 1.0 - epsilon
-    return keep, m * (m - 1) // 2
-
-
 def cluster_seed(seed: int, cluster_id: int) -> int:
     """Seed for one cluster's random ordering, stable across processing order."""
     return hash_u64(seed, cluster_id)
+
+
+def prefix_maxima(
+    e: UnitEmbeddingMatrix,
+    model: KMeansModel,
+    strategy: KeepStrategy,
+    seed: int,
+    tile: int = DEFAULT_TILE,
+    threads: int = 1,
+    clusters: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row-aligned prefix maxima of ``clusters`` (all when None), the same for any thread count.
+
+    Every other row, singletons included, reads 0 and is kept at any epsilon.
+    """
+    model.check_matches(e)
+    pmax = np.zeros(e.n, dtype=np.float64)
+
+    def one(c: int) -> None:
+        members = model.members[c]
+        if members.size >= 2:
+            ordered = order_cluster(e, members, model.centroids[c], strategy, cluster_seed(seed, c))
+            pmax[ordered] = dedup_cluster(e, ordered, tile)
+
+    map_ordered(one, range(model.k) if clusters is None else np.asarray(clusters).tolist(), threads)
+    return pmax
+
+
+def threshold(pmax: np.ndarray, epsilon: float, model: KMeansModel) -> DedupResult:
+    """Greedy verdicts at epsilon from row-aligned prefix maxima."""
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
+    keep = pmax <= 1.0 - epsilon
+    sizes = model.cluster_sizes()
+    return DedupResult(
+        keep=keep,
+        kept_fraction=int(np.count_nonzero(keep)) / keep.size,
+        per_cluster_removed=np.bincount(model.assignment[~keep], minlength=model.k),
+        comparisons=int((sizes * (sizes - 1) // 2).sum()),
+    )
 
 
 def dedup_dataset(
@@ -165,39 +191,9 @@ def dedup_dataset(
     cfg: DedupConfig,
     threads: int = 1,
 ) -> DedupResult:
-    """Run the per-cluster greedy pass over the whole corpus.
-
-    Clusters are independent work units; verdicts are assembled in cluster-id
-    order, so the result does not depend on the thread count.
-    """
-    model.check_matches(e)
-
-    keep = np.zeros(e.n, dtype=bool)
-    removed = np.zeros(model.k, dtype=np.int64)
-    centroids = model.centroids
-
-    def one(c: int) -> int:
-        members = model.members[c]
-        if members.size == 0:
-            return 0
-        if members.size == 1:
-            keep[members[0]] = True
-            return 0
-        ordered = order_cluster(e, members, centroids[c], cfg.strategy, cluster_seed(cfg.seed, c))
-        flags, comparisons = dedup_cluster(e, ordered, cfg.epsilon, cfg.tile)
-        keep[ordered] = flags
-        removed[c] = members.size - int(np.count_nonzero(flags))
-        return comparisons
-
-    comparison_counts = map_ordered(one, range(model.k), threads)
-    total = int(sum(comparison_counts))
-    kept = int(np.count_nonzero(keep))
-    return DedupResult(
-        keep=keep,
-        kept_fraction=kept / e.n,
-        per_cluster_removed=removed,
-        comparisons=total,
-    )
+    """Run the per-cluster greedy pass over the whole corpus."""
+    pmax = prefix_maxima(e, model, cfg.strategy, cfg.seed, cfg.tile, threads)
+    return threshold(pmax, cfg.epsilon, model)
 
 
 def kept_ids(e: UnitEmbeddingMatrix, result: DedupResult) -> np.ndarray:

@@ -3,11 +3,12 @@
 Kept fraction is evaluated on a sampled subset of clusters (sampling 10% is
 usually enough to approximate the full-corpus size). The keep order does not
 depend on epsilon, so each sampled point's prefix maximum p decides it at
-every threshold: it is kept iff p <= 1 - epsilon. The sampled kept fraction
-is therefore an order statistic of the sorted maxima, a step function of
-epsilon that changes only at epsilon = 1 - p. The tuner evaluates every such
-step inside the search range at once and returns the one nearest the target,
-so it never misses a fraction the sample can attain.
+every threshold: it is kept iff p <= 1 - epsilon. Those maxima are the rows
+of ``dedup_core.prefix_maxima``, so a caller holding the full pass tunes on it
+without a second sweep. The sampled kept fraction is an order statistic of the
+sorted maxima, a step function of epsilon that changes only at epsilon = 1 - p.
+``select_epsilon`` evaluates every such step inside the search range at once
+and returns the one nearest the target, so it never misses an attainable fraction.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
-from .dedup_core import KeepStrategy, _prefix_max, cluster_seed, order_cluster
+from .dedup_core import KeepStrategy, prefix_maxima
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import BracketError, InvalidArgumentError
 from .rng import hashed_uniform
@@ -76,9 +76,16 @@ def sample_clusters(model: KMeansModel, fraction: float, seed: int) -> np.ndarra
     return np.sort(np.argsort(keys, kind="stable")[:count])
 
 
+def sorted_maxima(pmax: np.ndarray, model: KMeansModel, sample: np.ndarray) -> np.ndarray:
+    """Sorted entries of row-aligned ``pmax`` for the points of the sampled clusters."""
+    maxima = np.sort(pmax[np.isin(model.assignment, sample)])
+    if maxima.size == 0:
+        raise InvalidArgumentError("sampled clusters contain no points")
+    return maxima
+
+
 def _sampled_maxima(e, model, sample, strategy, seed, tile, threads) -> np.ndarray:
-    """Sorted prefix maxima of the sampled points, from the dedup pass's own kernel."""
-    model.check_matches(e)
+    """Sorted prefix maxima of the sampled points, from the dedup pass itself."""
     sample = np.asarray(sample, dtype=np.int64)
     if sample.size == 0:
         raise InvalidArgumentError("cluster sample is empty")
@@ -86,20 +93,8 @@ def _sampled_maxima(e, model, sample, strategy, seed, tile, threads) -> np.ndarr
         raise InvalidArgumentError("cluster sample contains repeats")
     if sample.min() < 0 or sample.max() >= model.k:
         raise InvalidArgumentError("cluster sample index out of range")
-
-    def one(c: int) -> np.ndarray:
-        members = model.members[int(c)]
-        if members.size <= 1:
-            return np.zeros(members.size, dtype=np.float64)
-        ordered = order_cluster(
-            e, members, model.centroids[int(c)], strategy, cluster_seed(seed, int(c))
-        )
-        return _prefix_max(e, ordered, tile)
-
-    maxima = np.sort(np.concatenate(map_ordered(one, list(sample), threads)))
-    if maxima.size == 0:
-        raise InvalidArgumentError("sampled clusters contain no points")
-    return maxima
+    pmax = prefix_maxima(e, model, strategy, seed, tile, threads, clusters=sample)
+    return sorted_maxima(pmax, model, sample)
 
 
 def _kept_fractions(maxima: np.ndarray, epsilons) -> np.ndarray:
@@ -130,32 +125,8 @@ def size_curve(
     return SizeCurve([(x, float(f)) for x, f in zip(eps, _kept_fractions(maxima, eps))])
 
 
-def tune_epsilon(
-    e: UnitEmbeddingMatrix,
-    model: KMeansModel,
-    sample: np.ndarray,
-    strategy: KeepStrategy,
-    target_fraction: float,
-    eps_lo: float,
-    eps_hi: float,
-    tol_fraction: float = DEFAULT_TOL_FRACTION,
-    max_probes: int = DEFAULT_MAX_PROBES,
-    seed: int = 0,
-    tile: int = 1024,
-    threads: int = 1,
-) -> TuneResult:
-    """The threshold in [eps_lo, eps_hi] whose sampled kept-fraction is nearest the target.
-
-    Every attainable fraction is evaluated: the two range ends and the step
-    1 - p of each sampled prefix maximum p strictly inside the range. Ties go
-    to the smaller epsilon. Raises ``BracketError`` when the target lies
-    outside [kept(eps_hi) - tol_fraction, kept(eps_lo) + tol_fraction]; inside
-    it, ``converged=False`` means the sample attains no fraction within
-    ``tol_fraction`` of the target. ``max_probes`` is validated but bounds
-    nothing, since the search is exact; it stays for callers that pass it.
-    """
-    if not 0.0 < target_fraction < 1.0:
-        raise InvalidArgumentError(f"target_fraction must be in (0, 1), got {target_fraction}")
+def check_search(eps_lo: float, eps_hi: float, tol_fraction: float, max_probes: int) -> None:
+    """Validate the tuner's search range and tolerances."""
     if not (0.0 < eps_lo < eps_hi < 1.0):
         raise InvalidArgumentError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
     if tol_fraction <= 0.0:
@@ -163,7 +134,18 @@ def tune_epsilon(
     if max_probes < 1:
         raise InvalidArgumentError("max_probes must be >= 1")
 
-    maxima = _sampled_maxima(e, model, sample, strategy, seed, tile, threads)
+
+def select_epsilon(
+    maxima: np.ndarray, target_fraction: float, eps_lo: float, eps_hi: float, tol_fraction: float
+) -> TuneResult:
+    """The threshold in [eps_lo, eps_hi] whose kept fraction of ``maxima`` is nearest the target.
+
+    ``maxima`` are sorted, the other arguments as ``tune_epsilon`` checks them.
+    Every attainable fraction is evaluated: the range ends and the step 1 - p
+    of each maximum p strictly inside the range; ties go to the smaller
+    epsilon. Raises ``BracketError`` when the target lies outside
+    [kept(eps_hi) - tol_fraction, kept(eps_lo) + tol_fraction].
+    """
     inside = maxima[(eps_lo < 1.0 - maxima) & (1.0 - maxima < eps_hi)]
     steps = 1.0 - inside
     # Below p = 0.5, 1 - (1 - p) can round under p; one ulp less epsilon keeps p.
@@ -186,3 +168,25 @@ def tune_epsilon(
         converged=abs(achieved - target_fraction) <= tol_fraction,
         curve=curve,
     )
+
+
+def tune_epsilon(
+    e: UnitEmbeddingMatrix,
+    model: KMeansModel,
+    sample: np.ndarray,
+    strategy: KeepStrategy,
+    target_fraction: float,
+    eps_lo: float,
+    eps_hi: float,
+    tol_fraction: float = DEFAULT_TOL_FRACTION,
+    max_probes: int = DEFAULT_MAX_PROBES,
+    seed: int = 0,
+    tile: int = 1024,
+    threads: int = 1,
+) -> TuneResult:
+    """``select_epsilon`` on the sampled clusters' prefix maxima; ``max_probes`` bounds nothing."""
+    if not 0.0 < target_fraction < 1.0:
+        raise InvalidArgumentError(f"target_fraction must be in (0, 1), got {target_fraction}")
+    check_search(eps_lo, eps_hi, tol_fraction, max_probes)
+    maxima = _sampled_maxima(e, model, sample, strategy, seed, tile, threads)
+    return select_epsilon(maxima, target_fraction, eps_lo, eps_hi, tol_fraction)

@@ -1,12 +1,15 @@
 import json
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from semdedup import dedup_core
 from semdedup.cli import main
 from semdedup.embedding_store import EmbeddingMatrix, write_embeddings
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VALIDATION
+from semdedup.spherical_kmeans import load_model
 
 from conftest import exact_step_pairs, fixed_band_groups
 
@@ -187,10 +190,17 @@ def test_stats_epsilon_must_match_summary(tmp_path, corpus_file):
 
 def test_config_malformed_exit_validation(tmp_path, corpus_file):
     config = tmp_path / "config.json"
-    base = {"input": str(corpus_file), "epsilon": 0.1}
-    for text in ("{not json", json.dumps({**base, "k": "four"}), json.dumps({**base, "tile": 0})):
+    out = tmp_path / "out"
+    base = {"input": str(corpus_file), "epsilon": 0.1, "k": 4, "output_dir": str(out)}
+    config.write_text(json.dumps(base))
+    assert main(["cluster", "--config", str(config)]) == 0
+    shutil.rmtree(out)
+    bad = ({"k": "four"}, {"tile": 0}, {"eps_lo": 0.6, "eps_hi": 0.5}, {"tol_fraction": 0.0},
+           {"max_probes": 0}, {"histogram_bins": 1})
+    for text in ("{not json", *(json.dumps({**base, **values}) for values in bad)):
         config.write_text(text)
         assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_nan_input_exit_data(tmp_path):
@@ -277,6 +287,32 @@ def test_dedup_with_target_fraction_tunes(tmp_path, step_corpus_file):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["tuning"]["converged"]
     assert abs(summary["kept_fraction"] - 0.86) <= 0.02 + 1e-9
+
+
+def test_dedup_target_fraction_sweeps_each_cluster_once(tmp_path, step_corpus_file, monkeypatch):
+    outdir = tmp_path / "run"
+    assert run_cluster(step_corpus_file, outdir) == 0
+    calls = {"dedup_cluster": 0, "pair_tiles": 0}
+
+    def counted(name):
+        original = getattr(dedup_core, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dedup_core, name, counted(name))
+    # Every cluster is sampled, so a separate tuning pass would sweep each one twice.
+    assert main([
+        "dedup", "--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
+        "--target-fraction", "0.9", "--sample-fraction", "1.0", "--eps-lo", "0.001",
+        "--eps-hi", "0.2", "--threads", "1", "--output-dir", str(outdir),
+    ]) == 0
+    multi = int(np.count_nonzero(load_model(outdir / "model.semk").cluster_sizes() >= 2))
+    assert multi >= 2
+    assert calls == {"dedup_cluster": multi, "pair_tiles": multi}
 
 
 def test_tune_subcommand_writes_curve(tmp_path, step_corpus_file):

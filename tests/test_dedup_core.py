@@ -98,14 +98,13 @@ def test_order_random_is_seeded_permutation(rng):
 
 def test_dedup_cluster_exact_duplicates():
     e = unit_rows([[1.0, 0.0], [1.0, 0.0]])
-    keep, comparisons = dedup_cluster(e, np.array([0, 1]), epsilon=0.05)
+    keep = dedup_cluster(e, np.array([0, 1])) <= 1 - 0.05
     assert keep.tolist() == [True, False]
-    assert comparisons == 1
 
 
 def test_dedup_cluster_orthogonal_rows():
     e = unit_rows([[1.0, 0.0], [0.0, 1.0]])
-    keep, _ = dedup_cluster(e, np.array([0, 1]), epsilon=0.05)
+    keep = dedup_cluster(e, np.array([0, 1])) <= 1 - 0.05
     assert keep.tolist() == [True, True]
 
 
@@ -116,26 +115,29 @@ def test_dedup_cluster_chain_blocks_transitively():
     e = unit_rows([[np.cos(a), np.sin(a)] for a in angles])
     eps = 0.05
     assert np.cos(np.deg2rad(10)) > 1 - eps >= np.cos(np.deg2rad(20))
-    keep, comparisons = dedup_cluster(e, np.array([0, 1, 2]), epsilon=eps)
+    keep = dedup_cluster(e, np.array([0, 1, 2])) <= 1 - eps
     assert keep.tolist() == [True, False, False]
-    assert comparisons == 3
 
 
 def test_dedup_cluster_tiling_invariant(rng):
+    # BLAS sums a dot product in an order that depends on the tile shape, so a
+    # maximum may move by the float64 rounding bound 2*gamma_d (Higham, section 3.1).
+    d = 8
+    gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
     for trial in range(10):
         local = np.random.default_rng(trial)
         n = int(local.integers(2, 300))
-        e = random_unit(local, n, 8)
+        e = random_unit(local, n, d)
         ordered = local.permutation(n)
         eps = float(local.uniform(0.05, 0.8))
         baseline = None
         for tile in (1, 3, 17, 128, 4096):
-            keep, comparisons = dedup_cluster(e, ordered, eps, tile=tile)
-            assert comparisons == n * (n - 1) // 2
+            maxima = dedup_cluster(e, ordered, tile=tile)
             if baseline is None:
-                baseline = keep
+                baseline = maxima
             else:
-                assert np.array_equal(keep, baseline)
+                assert np.all(np.abs(maxima - baseline) <= 2 * gamma)
+                assert np.array_equal(maxima <= 1 - eps, baseline <= 1 - eps)
 
 
 def test_pair_tiles_cover_each_pair_once():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, kept_ids
+from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, kept_ids, prefix_maxima
 from semdedup.embedding_store import (
     EmbeddingMatrix,
     UnitEmbeddingMatrix,
@@ -17,7 +17,7 @@ from semdedup.embedding_store import (
 )
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, BracketError, SemDedupError, exit_code_for
 from semdedup.spherical_kmeans import KMeansModel, fit, load_model, save_model
-from semdedup.threshold_tuner import sample_clusters, size_curve, tune_epsilon
+from semdedup.threshold_tuner import sample_clusters, select_epsilon, size_curve, tune_epsilon
 
 # Derandomized, so a run is reproducible; each test still sees many examples.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -93,6 +93,12 @@ def test_tuner_returns_nearest_attainable_fraction(corpus, strategy, sample_frac
     e, model = corpus
     eps_hi = eps_lo + width
     sample = sample_clusters(model, sample_fraction, seed=5)
+    # A pass over the sampled clusters is the full pass on their rows and 0 elsewhere.
+    rows = np.isin(model.assignment, sample)
+    full = prefix_maxima(e, model, strategy, 3)
+    sampled = prefix_maxima(e, model, strategy, 3, clusters=sample)
+    assert np.array_equal(sampled[rows], full[rows]) and not sampled[~rows].any()
+    maxima = np.sort(full[rows])
 
     def kept(epsilons):
         return [f for _, f in size_curve(e, model, sample, strategy, epsilons, seed=3).points]
@@ -105,7 +111,10 @@ def test_tuner_returns_nearest_attainable_fraction(corpus, strategy, sample_frac
                               tol_fraction=tol, seed=3)
     except BracketError:
         assert not grid[-1] - tol <= target <= grid[0] + tol
+        with pytest.raises(BracketError):
+            select_epsilon(maxima, target, eps_lo, eps_hi, tol)
         return
+    assert result == select_epsilon(maxima, target, eps_lo, eps_hi, tol)
     assert eps_lo <= result.epsilon <= eps_hi
     assert kept([result.epsilon]) == [result.achieved_fraction]
     gap = abs(result.achieved_fraction - target)
