@@ -3,20 +3,43 @@
 Work is split on a fixed grid decided by the caller; partial results are
 returned in grid order so any reduction the caller performs is ordered the
 same way no matter how many workers ran.
+
+``threads`` is the whole CPU budget of a pass: while ``map_ordered`` runs,
+numpy's bundled OpenBLAS runs single-threaded, on the serial path too, and
+the caller's OpenBLAS thread count is restored afterwards (nested and
+concurrent calls share one pin). The workers then keep ``threads`` cores
+busy instead of queueing on OpenBLAS's own pool, and no GEMM is split across
+OpenBLAS threads, so what ``fn`` computes depends on neither ``threads`` nor
+the machine's core count. Without a bundled OpenBLAS the count is left alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 
 THREADS_ENV_VAR = "SEMDEDUP_THREADS"
+# Symbol families of numpy's bundled OpenBLAS, newest wheels first.
+_BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads")
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# OpenBLAS's thread count is process-wide, so the pin that saves and restores it is too.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
 
 
 def resolve_threads(threads: int = 0) -> int:
@@ -43,9 +66,52 @@ def chunk_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
+@functools.cache
+def _blas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)  # numpy has already loaded it
+        for family in _BLAS_SYMBOLS:
+            get = getattr(lib, family.format("get"), None)
+            set_ = getattr(lib, family.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_single_threaded():
+    """Run the body with OpenBLAS at one thread, then restore the count the first entrant saw."""
+    global _pin_depth, _pin_saved
+    blas = _blas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
-    """Apply ``fn`` to items, in parallel when threads > 1, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """Apply ``fn`` to items, in parallel when threads > 1, preserving order.
+
+    OpenBLAS runs single-threaded until this returns or raises (see module docstring).
+    """
+    with _blas_single_threaded():
+        if threads <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))

@@ -285,8 +285,11 @@ def cmd_sweep(cfg: PipelineConfig, model_path: str, epsilons: list) -> int:
     return EXIT_OK
 
 
-def _read_summary(summary_path: str) -> tuple[float, np.ndarray]:
-    """Epsilon and per-cluster removed counts from a dedup run's summary.json."""
+def _read_summary(summary_path: str, model) -> tuple[float, np.ndarray]:
+    """Epsilon and per-cluster removed counts from a dedup run's summary.json.
+
+    Each count must lie in [0, its cluster's size] under ``model``.
+    """
     spath = Path(summary_path)
     if not spath.is_file():
         raise InvalidArgumentError(f"no such summary file: {spath}")
@@ -298,12 +301,18 @@ def _read_summary(summary_path: str) -> tuple[float, np.ndarray]:
         raise FormatError(f"{spath}: not a dedup summary ({exc!r})") from None
     if removed.ndim != 1 or removed.dtype.kind not in "iu":
         raise FormatError(f"{spath}: per_cluster_removed must be a list of integer counts")
+    sizes = model.cluster_sizes()
+    if removed.shape == sizes.shape:
+        bad = np.flatnonzero((removed < 0) | (removed > sizes))
+        if bad.size:
+            c = int(bad[0])
+            raise FormatError(f"{spath}: cluster {c} removed {removed[c]} of its {sizes[c]} points")
     return epsilon, removed
 
 
 def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
     corpus, model, threads = _inputs(cfg, model_path)
-    epsilon, removed = _read_summary(summary_path)
+    epsilon, removed = _read_summary(summary_path, model)
     if cfg.epsilon is not None and cfg.epsilon != epsilon:
         raise InvalidArgumentError(f"epsilon {cfg.epsilon} differs from the summary's {epsilon}")
     counts = similarity_histogram(corpus, model, cfg.histogram_bins, tile=cfg.tile, threads=threads)
@@ -403,7 +412,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample-fraction", dest="sample_fraction", type=float)
     parser.add_argument("--neighbors", type=int)
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--threads", type=int)
+    parser.add_argument(
+        "--threads", type=int,
+        help="the whole CPU budget, OpenBLAS included (0 = $SEMDEDUP_THREADS or the CPU count)",
+    )
     parser.add_argument("--tile", type=int)
     parser.add_argument("--eps-lo", dest="eps_lo", type=float)
     parser.add_argument("--eps-hi", dest="eps_hi", type=float)

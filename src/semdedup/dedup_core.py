@@ -154,9 +154,11 @@ def prefix_maxima(
     threads: int = 1,
     clusters: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-aligned prefix maxima of ``clusters`` (all when None), the same for any thread count.
+    """Row-aligned prefix maxima of ``clusters`` (all when None).
 
-    Every other row, singletons included, reads 0 and is kept at any epsilon.
+    The same for any ``threads`` and any OpenBLAS thread count: the sweep runs
+    inside ``map_ordered``, which holds OpenBLAS at one thread. Every other
+    row, singletons included, reads 0 and is kept at any epsilon.
     """
     model.check_matches(e)
     pmax = np.zeros(e.n, dtype=np.float64)

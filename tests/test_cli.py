@@ -170,6 +170,25 @@ def test_stats_malformed_summary_exit_format(tmp_path, corpus_file):
     assert not (tmp_path / "out").exists()
 
 
+def test_stats_impossible_removed_counts_exit_format(tmp_path, corpus_file):
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    sizes = load_model(outdir / "model.semk").cluster_sizes().tolist()
+    summary = tmp_path / "summary.json"
+
+    def stats(removed):
+        summary.write_text(json.dumps({"epsilon": 0.3, "per_cluster_removed": removed}))
+        return main([
+            "stats", "--input", str(corpus_file), "--model", str(outdir / "model.semk"),
+            "--summary", str(summary), "--output-dir", str(tmp_path / "out"),
+        ])
+
+    for c, bad in ((0, -5), (1, sizes[1] + 1), (2, 1000000)):
+        assert stats([bad if i == c else 0 for i in range(4)]) == EXIT_FORMAT
+    assert not (tmp_path / "out").exists()
+    assert stats(sizes) == 0
+
+
 def test_stats_epsilon_must_match_summary(tmp_path, corpus_file):
     outdir = tmp_path / "run"
     assert run_cluster(corpus_file, outdir) == 0
