@@ -8,7 +8,6 @@ oracles, and a CLI.
 """
 
 from .analysis_metrics import (
-    MetricsReport,
     dedup_efficiency,
     duplicate_incidence,
     intersection_pct,
@@ -65,7 +64,6 @@ __all__ = [
     "InvalidArgumentError",
     "KMeansModel",
     "KeepStrategy",
-    "MetricsReport",
     "PlantedCorpus",
     "SemDedupError",
     "SizeCurve",

@@ -6,12 +6,18 @@ duplicate, per-cluster removal statistics, the intersection percentage
 between two equal-size keep-sets, and the detection-efficiency percentage
 (share of threshold pairs found within clusters out of all threshold pairs
 in the neighbor-cluster-approximated universe).
+
+The histogram and nmax, each point's largest cosine to another member of
+its cluster, come from one sweep of every cluster's pairs,
+``within_cluster_pass``. nmax does not depend on epsilon, and the incidence
+at any epsilon thresholds it (``incidence_at``). The detection efficiency
+counts its own pairs, within and across clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -27,40 +33,10 @@ DEFAULT_NEIGHBORS = 20
 
 @dataclass
 class ClusterStat:
-    cluster_id: int
+    cluster: int
     size: int
     removed: int
     removed_fraction: float
-
-
-@dataclass
-class MetricsReport:
-    bins: int
-    histogram_counts: np.ndarray
-    duplicate_incidence: float
-    per_cluster: list
-    eta: float
-    intersection: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "similarity_histogram": {
-                "bins": self.bins,
-                "counts": self.histogram_counts.tolist(),
-            },
-            "duplicate_incidence": self.duplicate_incidence,
-            "per_cluster": [
-                {
-                    "cluster": s.cluster_id,
-                    "size": s.size,
-                    "removed": s.removed,
-                    "removed_fraction": s.removed_fraction,
-                }
-                for s in self.per_cluster
-            ],
-            "eta": self.eta,
-            "intersection": self.intersection,
-        }
 
 
 def histogram_bin_edges(bins: int) -> np.ndarray:
@@ -71,6 +47,52 @@ def histogram_bin_edges(bins: int) -> np.ndarray:
 def _bin_indices(sims: np.ndarray, bins: int) -> np.ndarray:
     idx = np.floor((sims + 1.0) * (bins / 2.0)).astype(np.int64)
     return np.clip(idx, 0, bins - 1)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def within_cluster_pass(
+    e: UnitEmbeddingMatrix,
+    model: KMeansModel,
+    bins: int = DEFAULT_BINS,
+    tile: int = 1024,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram counts and row-aligned nmax from one sweep of each cluster's pairs.
+
+    The counts are those of ``similarity_histogram``. A point's nmax is its
+    largest float64 cosine to another member of its cluster, -inf for a
+    singleton; it is the row and column maximum of the cluster's tiles.
+    """
+    if bins < 2:
+        raise InvalidArgumentError("bins must be >= 2")
+    model.check_matches(e)
+    nmax = np.full(e.n, -np.inf)
+
+    def one(c: int) -> np.ndarray:
+        members = model.members[c]
+        counts = np.zeros(bins, dtype=np.int64)
+        near = np.full(members.size, -np.inf)
+        for i0, j0, sims in pair_tiles(e.data[members], tile=tile):
+            counts += np.bincount(_bin_indices(sims[sims > -np.inf], bins), minlength=bins)
+            rows = near[i0:i0 + sims.shape[0]]
+            np.maximum(rows, sims.max(axis=1), out=rows)
+            cols = near[j0:j0 + sims.shape[1]]
+            np.maximum(cols, sims.max(axis=0), out=cols)
+        nmax[members] = near
+        return counts
+
+    counts = sum(map_ordered(one, range(model.k), threads))
+    return counts.astype(np.uint64), nmax
+
+
+def incidence_at(nmax: np.ndarray, epsilon: float) -> float:
+    """Share of points whose nmax (see ``within_cluster_pass``) is >= 1 - epsilon."""
+    _check_epsilon(epsilon)
+    return int(np.count_nonzero(nmax >= 1.0 - epsilon)) / nmax.size
 
 
 def similarity_histogram(
@@ -84,22 +106,10 @@ def similarity_histogram(
 
     Bin b covers [-1 + 2b/bins, -1 + 2(b+1)/bins), except the last bin which
     is closed at 1. Counts total exactly sum over clusters of n_c(n_c-1)/2.
+    The counts of ``within_cluster_pass``; a caller that also wants the
+    incidence runs that pass once instead.
     """
-    if bins < 2:
-        raise InvalidArgumentError("bins must be >= 2")
-    model.check_matches(e)
-
-    def one(c: int) -> np.ndarray:
-        counts = np.zeros(bins, dtype=np.int64)
-        for _, _, sims in pair_tiles(e.data[model.members[c]], tile=tile):
-            counts += np.bincount(_bin_indices(sims[sims > -np.inf], bins), minlength=bins)
-        return counts
-
-    parts = map_ordered(one, range(model.k), threads)
-    total = np.zeros(bins, dtype=np.int64)
-    for part in parts:
-        total += part
-    return total.astype(np.uint64)
+    return within_cluster_pass(e, model, bins, tile, threads)[0]
 
 
 def duplicate_incidence(
@@ -111,24 +121,11 @@ def duplicate_incidence(
 ) -> float:
     """Fraction of points with a same-cluster neighbor at cosine >= 1-epsilon.
 
-    Symmetric in the pair and independent of any keep ordering.
+    Symmetric in the pair and independent of any keep ordering: ``incidence_at``
+    on the nmax of ``within_cluster_pass``, with epsilon checked before the sweep.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
-    model.check_matches(e)
-    threshold = 1.0 - epsilon
-
-    def one(c: int) -> int:
-        members = model.members[c]
-        has_dup = np.zeros(members.size, dtype=bool)
-        for i0, j0, sims in pair_tiles(e.data[members], tile=tile):
-            hit = sims >= threshold
-            has_dup[i0:i0 + hit.shape[0]] |= hit.any(axis=1)
-            has_dup[j0:j0 + hit.shape[1]] |= hit.any(axis=0)
-        return int(np.count_nonzero(has_dup))
-
-    counts = map_ordered(one, range(model.k), threads)
-    return int(sum(counts)) / e.n
+    _check_epsilon(epsilon)
+    return incidence_at(within_cluster_pass(e, model, tile=tile, threads=threads)[1], epsilon)
 
 
 def intersection_pct(keep_a: Iterable[int], keep_b: Iterable[int], n: int) -> float:
@@ -163,8 +160,7 @@ def dedup_efficiency(
     other). Returns 100.0 when the universe is empty. ``m_neighbors`` may be
     0 (mandatory when k == 1, where no neighbor clusters exist).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     k = model.k
     if m_neighbors < 0 or m_neighbors >= max(k, 1):
         raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
@@ -209,6 +205,6 @@ def per_cluster_stats(removed_counts: np.ndarray, model: KMeansModel) -> list:
         size = int(model.members[c].size)
         removed = int(removed_counts[c])
         fraction = removed / size if size else 0.0
-        stats.append(ClusterStat(cluster_id=c, size=size, removed=removed, removed_fraction=fraction))
+        stats.append(ClusterStat(cluster=c, size=size, removed=removed, removed_fraction=fraction))
     return stats
 

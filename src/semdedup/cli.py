@@ -26,13 +26,12 @@ import numpy as np
 
 from ._parallel import resolve_threads
 from .analysis_metrics import (
-    MetricsReport,
     dedup_efficiency,
-    duplicate_incidence,
     histogram_bin_edges,
+    incidence_at,
     intersection_pct,
     per_cluster_stats,
-    similarity_histogram,
+    within_cluster_pass,
 )
 from .dedup_core import (
     DedupConfig,
@@ -55,7 +54,9 @@ from .errors import (
 )
 from .oracle import generate_planted
 from .spherical_kmeans import fit, load_model, save_model
-from .threshold_tuner import check_search, sample_clusters, select_epsilon, size_curve, sorted_maxima
+from .threshold_tuner import (
+    check_search, sample_clusters, select_epsilon, size_curve, sorted_maxima, tune_epsilon,
+)
 
 logger = logging.getLogger("semdedup")
 
@@ -187,12 +188,6 @@ def cmd_cluster(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _tune(cfg: PipelineConfig, model, pmax: np.ndarray, sample: np.ndarray):
-    """Epsilon picked on the rows of ``pmax`` in the sampled clusters."""
-    maxima = sorted_maxima(pmax, model, sample)
-    return select_epsilon(maxima, cfg.target_fraction, cfg.eps_lo, cfg.eps_hi, cfg.tol_fraction)
-
-
 def _tuning_dict(cfg: PipelineConfig, tuned) -> dict:
     return {"target_fraction": cfg.target_fraction, **asdict(tuned)}
 
@@ -215,7 +210,9 @@ def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
     tuned = None
     epsilon = cfg.epsilon
     if epsilon is None:
-        tuned = _tune(cfg, model, pmax, sample_clusters(model, cfg.sample_fraction, cfg.seed))
+        # Picked on the sampled rows of the full pass, so no cluster is swept twice.
+        maxima = sorted_maxima(pmax, model, sample_clusters(model, cfg.sample_fraction, cfg.seed))
+        tuned = select_epsilon(maxima, cfg.target_fraction, cfg.eps_lo, cfg.eps_hi, cfg.tol_fraction)
         epsilon = tuned.epsilon
         logger.info(
             "tuned epsilon=%.6g (sampled kept fraction %.4f, %d probes, converged=%s)",
@@ -249,8 +246,8 @@ def cmd_tune(cfg: PipelineConfig, model_path: str, curve_csv: bool) -> int:
         raise InvalidArgumentError("tune requires target_fraction")
     corpus, model, threads = _inputs(cfg, model_path)
     sample = sample_clusters(model, cfg.sample_fraction, cfg.seed)
-    pmax = prefix_maxima(corpus, model, _strategy(cfg), cfg.seed, cfg.tile, threads, sample)
-    tuned = _tune(cfg, model, pmax, sample)
+    tuned = tune_epsilon(corpus, model, sample, _strategy(cfg), cfg.target_fraction, cfg.eps_lo,
+                         cfg.eps_hi, cfg.tol_fraction, cfg.max_probes, cfg.seed, cfg.tile, threads)
     files = {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))}
     if curve_csv:
         files["curve.csv"] = lambda p: _write_curve_csv(p, tuned.curve)
@@ -288,17 +285,21 @@ def cmd_sweep(cfg: PipelineConfig, model_path: str, epsilons: list) -> int:
 def _read_summary(summary_path: str, model) -> tuple[float, np.ndarray]:
     """Epsilon and per-cluster removed counts from a dedup run's summary.json.
 
-    Each count must lie in [0, its cluster's size] under ``model``.
+    Epsilon must be a JSON number in (0, 1), and each count must lie in
+    [0, its cluster's size] under ``model``.
     """
     spath = Path(summary_path)
     if not spath.is_file():
         raise InvalidArgumentError(f"no such summary file: {spath}")
     try:
         summary = json.loads(spath.read_text(encoding="utf-8"))
-        epsilon = float(summary["epsilon"])
+        epsilon = summary["epsilon"]
         removed = np.asarray(summary["per_cluster_removed"])
     except (ValueError, TypeError, KeyError) as exc:
         raise FormatError(f"{spath}: not a dedup summary ({exc!r})") from None
+    # bool is an int subclass, and NaN fails the range test.
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or not 0 < epsilon < 1:
+        raise FormatError(f"{spath}: epsilon must be a number in (0, 1), got {epsilon!r}")
     if removed.ndim != 1 or removed.dtype.kind not in "iu":
         raise FormatError(f"{spath}: per_cluster_removed must be a list of integer counts")
     sizes = model.cluster_sizes()
@@ -307,7 +308,7 @@ def _read_summary(summary_path: str, model) -> tuple[float, np.ndarray]:
         if bad.size:
             c = int(bad[0])
             raise FormatError(f"{spath}: cluster {c} removed {removed[c]} of its {sizes[c]} points")
-    return epsilon, removed
+    return float(epsilon), removed
 
 
 def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
@@ -315,18 +316,18 @@ def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
     epsilon, removed = _read_summary(summary_path, model)
     if cfg.epsilon is not None and cfg.epsilon != epsilon:
         raise InvalidArgumentError(f"epsilon {cfg.epsilon} differs from the summary's {epsilon}")
-    counts = similarity_histogram(corpus, model, cfg.histogram_bins, tile=cfg.tile, threads=threads)
-    incidence = duplicate_incidence(corpus, model, epsilon, tile=cfg.tile, threads=threads)
+    counts, nmax = within_cluster_pass(corpus, model, cfg.histogram_bins, cfg.tile, threads)
+    incidence = incidence_at(nmax, epsilon)
     m_eff = min(cfg.neighbors, model.k - 1)
     eta = dedup_efficiency(corpus, model, epsilon, m_eff, tile=cfg.tile, threads=threads)
     stats = per_cluster_stats(removed, model)
-    report = MetricsReport(
-        bins=cfg.histogram_bins,
-        histogram_counts=counts,
-        duplicate_incidence=incidence,
-        per_cluster=stats,
-        eta=eta,
-    )
+    report = {
+        "similarity_histogram": {"bins": cfg.histogram_bins, "counts": counts.tolist()},
+        "duplicate_incidence": incidence,
+        "per_cluster": [asdict(s) for s in stats],
+        "eta": eta,
+        "intersection": None,  # kept so stats.json keeps its keys; `intersect` computes it
+    }
     logger.info("duplicate incidence %.4f, eta %.2f%%", incidence, eta)
 
     edges = histogram_bin_edges(cfg.histogram_bins)
@@ -341,13 +342,13 @@ def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("cluster,size,removed,fraction\n")
             for s in stats:
-                fh.write(f"{s.cluster_id},{s.size},{s.removed},{s.removed_fraction}\n")
+                fh.write(f"{s.cluster},{s.size},{s.removed},{s.removed_fraction}\n")
 
     _emit(
         Path(cfg.output_dir),
         cfg,
         {
-            "stats.json": lambda p: _write_json(p, report.to_dict()),
+            "stats.json": lambda p: _write_json(p, report),
             "histogram.csv": write_histogram,
             "per_cluster.csv": write_clusters,
         },

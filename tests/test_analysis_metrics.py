@@ -6,9 +6,11 @@ from semdedup.analysis_metrics import (
     dedup_efficiency,
     duplicate_incidence,
     histogram_bin_edges,
+    incidence_at,
     intersection_pct,
     per_cluster_stats,
     similarity_histogram,
+    within_cluster_pass,
 )
 from semdedup.dedup_core import DedupConfig, dedup_dataset
 from semdedup.errors import InvalidArgumentError
@@ -16,7 +18,7 @@ from semdedup.oracle import brute_force_duplicate_pairs, generate_planted
 from semdedup.embedding_store import normalize_rows
 from semdedup.spherical_kmeans import KMeansModel, fit
 
-from conftest import fixed_band_groups, random_unit, single_cluster_model, unit_rows
+from conftest import exact_step_pairs, fixed_band_groups, random_unit, single_cluster_model, unit_rows
 
 
 def two_cluster_model(e, split):
@@ -92,6 +94,30 @@ def test_incidence_steps_at_group_band():
     below = 1.0 - 0.96 - 1e-3
     assert duplicate_incidence(e, model, past) == 1.0
     assert duplicate_incidence(e, model, below) == 0.0
+
+
+def test_incidence_counts_a_pair_exactly_at_the_threshold():
+    # Every pair's cosine is exactly 0.875 = 1 - 0.125, so >= decides.
+    e = exact_step_pairs()
+    model = single_cluster_model(e)
+    assert duplicate_incidence(e, model, 0.125) == 1.0
+    assert duplicate_incidence(e, model, 0.1249) == 0.0
+    _, nmax = within_cluster_pass(e, model)
+    assert np.all(nmax == 0.875)
+    assert incidence_at(nmax, 0.125) == 1.0
+
+
+def test_singleton_nmax_is_minus_infinity():
+    e = exact_step_pairs()
+    assignment = np.zeros(e.n, dtype=np.uint32)
+    assignment[0] = 1  # row 0 alone; its partner, row 16, loses its duplicate
+    centroids = np.vstack([np.eye(e.d)[1], e.data[0]]).astype(np.float32)
+    model = KMeansModel(centroids=centroids, assignment=assignment)
+    _, nmax = within_cluster_pass(e, model)
+    assert nmax[0] == -np.inf
+    assert nmax[16] < 0.875
+    assert np.all(np.delete(nmax, [0, 16]) == 0.875)
+    assert incidence_at(nmax, 0.125) == duplicate_incidence(e, model, 0.125) == 30 / 32
 
 
 def test_incidence_matches_brute_force_pairs(rng):

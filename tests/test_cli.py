@@ -5,11 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from semdedup import dedup_core
+from semdedup import analysis_metrics, dedup_core
 from semdedup.cli import main
 from semdedup.embedding_store import EmbeddingMatrix, write_embeddings
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VALIDATION
-from semdedup.spherical_kmeans import load_model
+from semdedup.spherical_kmeans import load_model, nearest_clusters
 
 from conftest import exact_step_pairs, fixed_band_groups
 
@@ -155,19 +155,58 @@ def test_intersect_malformed_keep_list_exit_format(tmp_path):
         assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
 
 
-def test_stats_malformed_summary_exit_format(tmp_path, corpus_file):
+def counting_pair_tiles(monkeypatch, module):
+    """Count calls through ``module.pair_tiles``; the returned list holds the count."""
+    calls = [0]
+    original = module.pair_tiles
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "pair_tiles", wrapper)
+    return calls
+
+
+def test_stats_malformed_summary_exit_format(tmp_path, corpus_file, monkeypatch):
     outdir = tmp_path / "run"
     assert run_cluster(corpus_file, outdir) == 0
     good = {"epsilon": 0.3, "per_cluster_removed": [0, 0, 0, 0]}
     summary = tmp_path / "summary.json"
-    for bad in ("{not json", json.dumps({"epsilon": 0.3}), json.dumps({**good, "epsilon": "abc"}),
-                json.dumps({**good, "per_cluster_removed": [0, 1.5, 0, 0]})):
+    calls = counting_pair_tiles(monkeypatch, analysis_metrics)
+    bad_epsilons = ("abc", 5, 0, True, float("nan"), "0.05")
+    for bad in ("{not json", json.dumps({"epsilon": 0.3}),
+                json.dumps({**good, "per_cluster_removed": [0, 1.5, 0, 0]}),
+                *(json.dumps({**good, "epsilon": eps}) for eps in bad_epsilons)):
         summary.write_text(bad)
         assert main([
             "stats", "--input", str(corpus_file), "--model", str(outdir / "model.semk"),
             "--summary", str(summary), "--epsilon", "0.3", "--output-dir", str(tmp_path / "out"),
-        ]) == EXIT_FORMAT
+        ]) == EXIT_FORMAT, bad
     assert not (tmp_path / "out").exists()
+    assert calls == [0]
+
+
+def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
+    # Once for the histogram and the incidence, once for eta's within count.
+    assert main(["synth", "--groups", "40", "--group-size", "3", "--dim", "64",
+                 "--within-sim", "0.97", "--seed", "7", "--out-prefix", str(tmp_path / "p")]) == 0
+    corpus = tmp_path / "p.semd"
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus, outdir, k=5) == 0
+    model = load_model(outdir / "model.semk")
+    assert main([
+        "dedup", "--input", str(corpus), "--model", str(outdir / "model.semk"),
+        "--epsilon", "0.05", "--output-dir", str(outdir),
+    ]) == 0
+    across = {tuple(sorted((c, int(b)))) for c in range(model.k) for b in nearest_clusters(model, c, 2)}
+    calls = counting_pair_tiles(monkeypatch, analysis_metrics)
+    assert main([
+        "stats", "--input", str(corpus), "--model", str(outdir / "model.semk"),
+        "--summary", str(outdir / "summary.json"), "--neighbors", "2", "--threads", "1",
+        "--output-dir", str(tmp_path / "stats"),
+    ]) == 0
+    assert calls == [2 * model.k + len(across)]
 
 
 def test_stats_impossible_removed_counts_exit_format(tmp_path, corpus_file):
