@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from ._parallel import map_ordered
-from .dedup_core import pair_tiles
+from .dedup_core import DEFAULT_TILE, pair_tiles
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
 from .spherical_kmeans import KMeansModel, nearest_clusters
@@ -58,7 +58,7 @@ def within_cluster_pass(
     e: UnitEmbeddingMatrix,
     model: KMeansModel,
     bins: int = DEFAULT_BINS,
-    tile: int = 1024,
+    tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram counts and row-aligned nmax from one sweep of each cluster's pairs.
@@ -99,7 +99,7 @@ def similarity_histogram(
     e: UnitEmbeddingMatrix,
     model: KMeansModel,
     bins: int = DEFAULT_BINS,
-    tile: int = 1024,
+    tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> np.ndarray:
     """Counts of within-cluster unordered pairs per cosine bin over [-1, 1].
@@ -116,7 +116,7 @@ def duplicate_incidence(
     e: UnitEmbeddingMatrix,
     model: KMeansModel,
     epsilon: float,
-    tile: int = 1024,
+    tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> float:
     """Fraction of points with a same-cluster neighbor at cosine >= 1-epsilon.
@@ -149,7 +149,7 @@ def dedup_efficiency(
     model: KMeansModel,
     epsilon: float,
     m_neighbors: int = DEFAULT_NEIGHBORS,
-    tile: int = 1024,
+    tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> float:
     """Percentage of threshold pairs detected within clusters.

@@ -1,10 +1,11 @@
 """Command-line pipeline: embeddings in, clustered/deduplicated artifacts out.
 
 Subcommands: cluster, dedup, tune, sweep, stats, intersect, efficiency,
-synth. Options come from a JSON config file plus flag overrides; the
-effective config is copied next to the results so every run is
-reproducible. Inputs are fully validated before any output file is
-created.
+synth; each binds its handler, which takes the parsed arguments. The run
+options are the fields of ``PipelineConfig``: each field is one flag and one
+config-file key, read from a JSON config file plus flag overrides, and the
+effective config is copied next to the results so every run is reproducible.
+Inputs are fully validated before any output file is created.
 
 Exit codes: 0 success, 2 validation error, 3 format error, 4 data error,
 5 tuner did not converge: the sampled clusters attain no kept fraction within
@@ -19,13 +20,15 @@ import ctypes
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._parallel import resolve_threads
 from .analysis_metrics import (
+    DEFAULT_BINS,
+    DEFAULT_NEIGHBORS,
     dedup_efficiency,
     histogram_bin_edges,
     incidence_at,
@@ -34,6 +37,7 @@ from .analysis_metrics import (
     within_cluster_pass,
 )
 from .dedup_core import (
+    DEFAULT_TILE,
     DedupConfig,
     KeepStrategy,
     kept_ids,
@@ -55,18 +59,31 @@ from .errors import (
 from .oracle import generate_planted
 from .spherical_kmeans import fit, load_model, save_model
 from .threshold_tuner import (
-    check_search, sample_clusters, select_epsilon, size_curve, sorted_maxima, tune_epsilon,
+    DEFAULT_MAX_PROBES, DEFAULT_TOL_FRACTION, check_search, sample_clusters, select_epsilon,
+    size_curve, sorted_maxima, tune_epsilon,
 )
 
 logger = logging.getLogger("semdedup")
 
 
-# JSON value types accepted for each annotation used by PipelineConfig.
+# JSON value types accepted for each annotation used by PipelineConfig; the
+# first is also the type its flag parses.
 _CONFIG_KINDS = {
     "str": (str,),
     "int": (int,),
-    "float": (int, float),
-    "float | None": (int, float, type(None)),
+    "float": (float, int),
+    "float | None": (float, int, type(None)),
+}
+# Fields whose flag is not "--" plus the field name with dashes.
+_FLAG_NAMES = {"input_format": "--format", "kmeans_iterations": "--iterations",
+               "histogram_bins": "--bins"}
+# Further add_argument options of a field's flag.
+_FLAG_OPTIONS = {
+    "input": {"help": "embedding file path"},
+    "input_format": {"choices": ["binary", "text"]},
+    "strategy": {"choices": [s.value for s in KeepStrategy]},
+    "threads": {"help": "the whole CPU budget, OpenBLAS included "
+                        "(0 = $SEMDEDUP_THREADS or the CPU count)"},
 }
 
 
@@ -88,15 +105,15 @@ class PipelineConfig:
     target_fraction: float | None = None
     strategy: str = "low"
     sample_fraction: float = 0.1
-    neighbors: int = 20
+    neighbors: int = DEFAULT_NEIGHBORS
     output_dir: str = "semdedup_out"
     threads: int = 0
-    tile: int = 1024
+    tile: int = DEFAULT_TILE
     eps_lo: float = 1e-4
     eps_hi: float = 0.5
-    tol_fraction: float = 0.02
-    max_probes: int = 8
-    histogram_bins: int = 200
+    tol_fraction: float = DEFAULT_TOL_FRACTION
+    max_probes: int = DEFAULT_MAX_PROBES
+    histogram_bins: int = DEFAULT_BINS
 
     def validate(self) -> None:
         if self.epsilon is not None and self.target_fraction is not None:
@@ -152,10 +169,6 @@ class PipelineConfig:
         return cls(**values)
 
 
-def _strategy(cfg: PipelineConfig) -> KeepStrategy:
-    return KeepStrategy.parse(cfg.strategy)
-
-
 def _load_corpus(cfg: PipelineConfig):
     if not cfg.input:
         raise InvalidArgumentError("input path is required")
@@ -167,6 +180,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+
+
 def _emit(outdir: Path, cfg: PipelineConfig, files: dict) -> None:
     """Write every artifact plus the effective config, creating the dir late."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +195,8 @@ def _emit(outdir: Path, cfg: PipelineConfig, files: dict) -> None:
     _write_json(outdir / "config.json", asdict(cfg))
 
 
-def cmd_cluster(cfg: PipelineConfig) -> int:
+def cmd_cluster(args) -> int:
+    cfg = _config_from(args)
     corpus = _load_corpus(cfg)
     threads = resolve_threads(cfg.threads)
     model = fit(corpus, cfg.k, cfg.kmeans_iterations, cfg.seed, threads=threads)
@@ -200,12 +221,13 @@ def _inputs(cfg: PipelineConfig, model_path: str):
     return corpus, model, resolve_threads(cfg.threads)
 
 
-def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
+def cmd_dedup(args) -> int:
+    cfg = _config_from(args)
     if cfg.epsilon is None and cfg.target_fraction is None:
         raise InvalidArgumentError("dedup requires epsilon or target_fraction")
-    corpus, model, threads = _inputs(cfg, model_path)
+    corpus, model, threads = _inputs(cfg, args.model)
 
-    pmax = prefix_maxima(corpus, model, _strategy(cfg), cfg.seed, cfg.tile, threads)
+    pmax = prefix_maxima(corpus, model, cfg.strategy, cfg.seed, cfg.tile, threads)
 
     tuned = None
     epsilon = cfg.epsilon
@@ -219,7 +241,7 @@ def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
             tuned.epsilon, tuned.achieved_fraction, tuned.probes, tuned.converged,
         )
 
-    dedup_cfg = DedupConfig(epsilon=epsilon, strategy=_strategy(cfg), seed=cfg.seed, tile=cfg.tile)
+    dedup_cfg = DedupConfig(epsilon=epsilon, strategy=cfg.strategy, seed=cfg.seed, tile=cfg.tile)
     result = threshold(pmax, epsilon, model)
     logger.info(
         "kept %d / %d points (%.4f) using %d comparisons",
@@ -241,52 +263,46 @@ def cmd_dedup(cfg: PipelineConfig, model_path: str) -> int:
     return EXIT_NOT_CONVERGED if tuned is not None and not tuned.converged else EXIT_OK
 
 
-def cmd_tune(cfg: PipelineConfig, model_path: str, curve_csv: bool) -> int:
+def cmd_tune(args) -> int:
+    cfg = _config_from(args)
     if cfg.target_fraction is None:
         raise InvalidArgumentError("tune requires target_fraction")
-    corpus, model, threads = _inputs(cfg, model_path)
+    corpus, model, threads = _inputs(cfg, args.model)
     sample = sample_clusters(model, cfg.sample_fraction, cfg.seed)
-    tuned = tune_epsilon(corpus, model, sample, _strategy(cfg), cfg.target_fraction, cfg.eps_lo,
+    tuned = tune_epsilon(corpus, model, sample, cfg.strategy, cfg.target_fraction, cfg.eps_lo,
                          cfg.eps_hi, cfg.tol_fraction, cfg.max_probes, cfg.seed, cfg.tile, threads)
     files = {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))}
-    if curve_csv:
-        files["curve.csv"] = lambda p: _write_curve_csv(p, tuned.curve)
+    if args.csv:
+        files["curve.csv"] = lambda p: _write_csv(p, "epsilon,kept_fraction", tuned.curve)
     _emit(Path(cfg.output_dir), cfg, files)
     return EXIT_OK if tuned.converged else EXIT_NOT_CONVERGED
 
 
-def _write_curve_csv(path: Path, points) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epsilon,kept_fraction\n")
-        for eps, frac in points:
-            fh.write(f"{eps},{frac}\n")
-
-
-def cmd_sweep(cfg: PipelineConfig, model_path: str, epsilons: list) -> int:
+def cmd_sweep(args) -> int:
+    try:
+        epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad --epsilons list: {exc}") from None
     if not epsilons:
         raise InvalidArgumentError("sweep requires a non-empty epsilon list")
     if any(b <= a for a, b in zip(epsilons, epsilons[1:])):
         raise InvalidArgumentError("sweep epsilons must be strictly increasing")
-    corpus, model, threads = _inputs(cfg, model_path)
-    curve = size_curve(
-        corpus,
-        model,
-        np.arange(model.k),
-        _strategy(cfg),
-        epsilons,
-        seed=cfg.seed,
-        tile=cfg.tile,
-        threads=threads,
-    )
-    _emit(Path(cfg.output_dir), cfg, {"curve.csv": lambda p: _write_curve_csv(p, curve.points)})
+    if not all(0.0 < eps < 1.0 for eps in epsilons):
+        raise InvalidArgumentError(f"sweep epsilons must lie in (0, 1), got {args.epsilons}")
+    cfg = _config_from(args)
+    corpus, model, threads = _inputs(cfg, args.model)
+    curve = size_curve(corpus, model, np.arange(model.k), cfg.strategy, epsilons,
+                       seed=cfg.seed, tile=cfg.tile, threads=threads)
+    _emit(Path(cfg.output_dir), cfg,
+          {"curve.csv": lambda p: _write_csv(p, "epsilon,kept_fraction", curve.points)})
     return EXIT_OK
 
 
-def _read_summary(summary_path: str, model) -> tuple[float, np.ndarray]:
+def _read_summary(summary_path: str) -> tuple[float, np.ndarray]:
     """Epsilon and per-cluster removed counts from a dedup run's summary.json.
 
-    Epsilon must be a JSON number in (0, 1), and each count must lie in
-    [0, its cluster's size] under ``model``.
+    Epsilon must be a JSON number in (0, 1), and the counts a list of
+    integers; ``cmd_stats`` checks them against the model.
     """
     spath = Path(summary_path)
     if not spath.is_file():
@@ -302,25 +318,24 @@ def _read_summary(summary_path: str, model) -> tuple[float, np.ndarray]:
         raise FormatError(f"{spath}: epsilon must be a number in (0, 1), got {epsilon!r}")
     if removed.ndim != 1 or removed.dtype.kind not in "iu":
         raise FormatError(f"{spath}: per_cluster_removed must be a list of integer counts")
-    sizes = model.cluster_sizes()
-    if removed.shape == sizes.shape:
-        bad = np.flatnonzero((removed < 0) | (removed > sizes))
-        if bad.size:
-            c = int(bad[0])
-            raise FormatError(f"{spath}: cluster {c} removed {removed[c]} of its {sizes[c]} points")
     return float(epsilon), removed
 
 
-def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
-    corpus, model, threads = _inputs(cfg, model_path)
-    epsilon, removed = _read_summary(summary_path, model)
+def cmd_stats(args) -> int:
+    cfg = _config_from(args)
+    epsilon, removed = _read_summary(args.summary)
     if cfg.epsilon is not None and cfg.epsilon != epsilon:
         raise InvalidArgumentError(f"epsilon {cfg.epsilon} differs from the summary's {epsilon}")
+    corpus, model, threads = _inputs(cfg, args.model)
+    stats = per_cluster_stats(removed, model)  # one count per cluster, or exit 2
+    for s in stats:
+        if not 0 <= s.removed <= s.size:
+            raise FormatError(f"{Path(args.summary)}: cluster {s.cluster} removed {s.removed} "
+                              f"of its {s.size} points")
     counts, nmax = within_cluster_pass(corpus, model, cfg.histogram_bins, cfg.tile, threads)
     incidence = incidence_at(nmax, epsilon)
     m_eff = min(cfg.neighbors, model.k - 1)
     eta = dedup_efficiency(corpus, model, epsilon, m_eff, tile=cfg.tile, threads=threads)
-    stats = per_cluster_stats(removed, model)
     report = {
         "similarity_histogram": {"bins": cfg.histogram_bins, "counts": counts.tolist()},
         "duplicate_incidence": incidence,
@@ -329,36 +344,24 @@ def cmd_stats(cfg: PipelineConfig, model_path: str, summary_path: str) -> int:
         "intersection": None,  # kept so stats.json keeps its keys; `intersect` computes it
     }
     logger.info("duplicate incidence %.4f, eta %.2f%%", incidence, eta)
-
     edges = histogram_bin_edges(cfg.histogram_bins)
-
-    def write_histogram(path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bin_lo,bin_hi,count\n")
-            for b in range(cfg.histogram_bins):
-                fh.write(f"{edges[b]},{edges[b + 1]},{int(counts[b])}\n")
-
-    def write_clusters(path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("cluster,size,removed,fraction\n")
-            for s in stats:
-                fh.write(f"{s.cluster},{s.size},{s.removed},{s.removed_fraction}\n")
-
     _emit(
         Path(cfg.output_dir),
         cfg,
         {
             "stats.json": lambda p: _write_json(p, report),
-            "histogram.csv": write_histogram,
-            "per_cluster.csv": write_clusters,
+            "histogram.csv": lambda p: _write_csv(p, "bin_lo,bin_hi,count",
+                                                  zip(edges[:-1], edges[1:], counts.tolist())),
+            "per_cluster.csv": lambda p: _write_csv(p, "cluster,size,removed,fraction",
+                                                    (astuple(s) for s in stats)),
         },
     )
     return EXIT_OK
 
 
-def cmd_intersect(path_a: str, path_b: str) -> int:
-    ids_a = read_keep_list(path_a)
-    ids_b = read_keep_list(path_b)
+def cmd_intersect(args) -> int:
+    ids_a = read_keep_list(args.keep_a)
+    ids_b = read_keep_list(args.keep_b)
     if ids_a.size != ids_b.size:
         raise InvalidArgumentError(
             f"keep-lists differ in size: {ids_a.size} vs {ids_b.size}"
@@ -368,10 +371,11 @@ def cmd_intersect(path_a: str, path_b: str) -> int:
     return EXIT_OK
 
 
-def cmd_efficiency(cfg: PipelineConfig, model_path: str) -> int:
+def cmd_efficiency(args) -> int:
+    cfg = _config_from(args)
     if cfg.epsilon is None:
         raise InvalidArgumentError("efficiency requires epsilon")
-    corpus, model, threads = _inputs(cfg, model_path)
+    corpus, model, threads = _inputs(cfg, args.model)
     m_eff = min(cfg.neighbors, model.k - 1)
     eta = dedup_efficiency(corpus, model, cfg.epsilon, m_eff, tile=cfg.tile, threads=threads)
     print(json.dumps({"epsilon": cfg.epsilon, "m_neighbors": m_eff, "eta": eta}))
@@ -402,32 +406,14 @@ def cmd_synth(args) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--input", help="embedding file path")
-    parser.add_argument("--format", dest="input_format", choices=["binary", "text"])
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--iterations", dest="kmeans_iterations", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--target-fraction", dest="target_fraction", type=float)
-    parser.add_argument("--strategy", choices=[s.value for s in KeepStrategy])
-    parser.add_argument("--sample-fraction", dest="sample_fraction", type=float)
-    parser.add_argument("--neighbors", type=int)
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument(
-        "--threads", type=int,
-        help="the whole CPU budget, OpenBLAS included (0 = $SEMDEDUP_THREADS or the CPU count)",
-    )
-    parser.add_argument("--tile", type=int)
-    parser.add_argument("--eps-lo", dest="eps_lo", type=float)
-    parser.add_argument("--eps-hi", dest="eps_hi", type=float)
-    parser.add_argument("--tol-fraction", dest="tol_fraction", type=float)
-    parser.add_argument("--max-probes", dest="max_probes", type=int)
-    parser.add_argument("--bins", dest="histogram_bins", type=int)
+    for f in fields(PipelineConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, type=_CONFIG_KINDS[f.type][0],
+                            **_FLAG_OPTIONS.get(f.name, {}))
 
 
 def _config_from(args) -> PipelineConfig:
-    override_names = [f.name for f in fields(PipelineConfig)]
-    overrides = {name: getattr(args, name, None) for name in override_names}
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     cfg = PipelineConfig.from_sources(args.config, overrides)
     cfg.validate()
     return cfg
@@ -440,37 +426,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", help="fit a spherical k-means model")
-    _add_config_flags(p)
+    def command(name: str, run, help: str, config: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if config:
+            _add_config_flags(p)
+        return p
 
-    p = sub.add_parser("dedup", help="deduplicate using a fitted model")
-    _add_config_flags(p)
+    command("cluster", cmd_cluster, "fit a spherical k-means model")
+
+    p = command("dedup", cmd_dedup, "deduplicate using a fitted model")
     p.add_argument("--model", required=True, help="path to a model file")
 
-    p = sub.add_parser("tune", help="estimate epsilon for a target kept fraction")
-    _add_config_flags(p)
+    p = command("tune", cmd_tune, "estimate epsilon for a target kept fraction")
     p.add_argument("--model", required=True)
     p.add_argument("--csv", action="store_true", help="also write the probe curve as CSV")
 
-    p = sub.add_parser("sweep", help="kept fraction across an epsilon grid")
-    _add_config_flags(p)
+    p = command("sweep", cmd_sweep, "kept fraction across an epsilon grid")
     p.add_argument("--model", required=True)
     p.add_argument("--epsilons", required=True, help="comma-separated increasing thresholds")
 
-    p = sub.add_parser("stats", help="redundancy metrics for a finished run")
-    _add_config_flags(p)
+    p = command("stats", cmd_stats, "redundancy metrics for a finished run")
     p.add_argument("--model", required=True)
     p.add_argument("--summary", required=True, help="summary.json from the dedup run")
 
-    p = sub.add_parser("intersect", help="intersection %% of two keep-lists")
+    p = command("intersect", cmd_intersect, "intersection %% of two keep-lists", config=False)
     p.add_argument("keep_a")
     p.add_argument("keep_b")
 
-    p = sub.add_parser("efficiency", help="duplicate-detection efficiency eta")
-    _add_config_flags(p)
+    p = command("efficiency", cmd_efficiency, "duplicate-detection efficiency eta")
     p.add_argument("--model", required=True)
 
-    p = sub.add_parser("synth", help="generate a planted-duplicate corpus")
+    p = command("synth", cmd_synth, "generate a planted-duplicate corpus", config=False)
     p.add_argument("--groups", type=int, required=True)
     p.add_argument("--group-size", dest="group_size", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -492,27 +479,7 @@ def main(argv=None) -> int:
         pass
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "cluster":
-            return cmd_cluster(_config_from(args))
-        if args.command == "dedup":
-            return cmd_dedup(_config_from(args), args.model)
-        if args.command == "tune":
-            return cmd_tune(_config_from(args), args.model, args.csv)
-        if args.command == "sweep":
-            try:
-                epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise InvalidArgumentError(f"bad --epsilons list: {exc}") from None
-            return cmd_sweep(_config_from(args), args.model, epsilons)
-        if args.command == "stats":
-            return cmd_stats(_config_from(args), args.model, args.summary)
-        if args.command == "intersect":
-            return cmd_intersect(args.keep_a, args.keep_b)
-        if args.command == "efficiency":
-            return cmd_efficiency(_config_from(args), args.model)
-        if args.command == "synth":
-            return cmd_synth(args)
-        raise InvalidArgumentError(f"unknown command {args.command!r}")
+        return args.run(args)
     except SemDedupError as exc:
         logger.error("%s", exc)
         return exit_code_for(exc)

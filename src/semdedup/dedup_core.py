@@ -50,12 +50,15 @@ class KeepStrategy(enum.Enum):
     RANDOM = "random"
 
     @classmethod
-    def parse(cls, text: str) -> "KeepStrategy":
-        for member in cls:
-            if member.value == text:
-                return member
-        choices = ", ".join(m.value for m in cls)
-        raise InvalidArgumentError(f"unknown strategy {text!r} (choose from: {choices})")
+    def parse(cls, value: "KeepStrategy | str") -> "KeepStrategy":
+        """A member, given itself or its value."""
+        try:
+            return cls(value)
+        except ValueError:
+            choices = ", ".join(m.value for m in cls)
+            raise InvalidArgumentError(
+                f"unknown strategy {value!r} (choose from: {choices})"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class DedupConfig:
     tile: int = DEFAULT_TILE
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", KeepStrategy.parse(self.strategy))
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidArgumentError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.tile < 1:
@@ -88,7 +92,7 @@ def order_cluster(
     e: UnitEmbeddingMatrix,
     members: np.ndarray,
     centroid: np.ndarray,
-    strategy: KeepStrategy,
+    strategy: KeepStrategy | str,
     seed: int,
 ) -> np.ndarray:
     """Order cluster members for the greedy pass.
@@ -101,6 +105,7 @@ def order_cluster(
     corpus with its ids permutes the result alike. For RANDOM, pass a
     per-cluster seed (see cluster_seed) so clusters draw independently.
     """
+    strategy = KeepStrategy.parse(strategy)
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise InvalidArgumentError("cluster has no members")
@@ -118,6 +123,8 @@ def order_cluster(
 
 def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_TILE):
     """Yield ``(i0, j0, sims)``: float64 tiles of ``a @ b.T`` (see module docstring)."""
+    if tile < 1:
+        raise InvalidArgumentError(f"tile must be >= 1, got {tile}")
     a = np.asarray(a, dtype=np.float64)
     within = b is None
     cols = a if within else np.asarray(b, dtype=np.float64)

@@ -29,6 +29,8 @@ CENTROID_NORM_TOL = 1e-6
 _SCORE_BUDGET = 16_000_000
 # Rows per gather-and-transpose step of _centroid_sums; its strided read stays in cache.
 _GATHER_ROWS = 256
+# Points the seeding races over, at least 4k; see _init_centroids.
+_INIT_SAMPLE_CAP = 16384
 
 
 def _pass_chunk(k: int) -> int:
@@ -46,7 +48,7 @@ class KMeansModel:
 
     centroids: np.ndarray
     assignment: np.ndarray
-    members: list = field(default=None)  # type: ignore[assignment]
+    members: list = field(init=False)  # per cluster, its rows ascending
     objective_trace: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -60,8 +62,9 @@ class KMeansModel:
             raise InvalidArgumentError(f"centroid {worst} has norm {norms[worst]:.9f}")
         if self.assignment.size and int(self.assignment.max()) >= self.k:
             raise InvalidArgumentError("assignment refers to a cluster >= k")
-        if self.members is None:
-            self.members = _members_from_assignment(self.assignment, self.k)
+        # A stable sort lists each cluster's rows ascending; the members are views of it.
+        order = np.argsort(self.assignment, kind="stable")
+        self.members = np.split(order, np.cumsum(self.cluster_sizes())[:-1])
 
     @property
     def k(self) -> int:
@@ -84,13 +87,6 @@ class KMeansModel:
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k).astype(np.int64)
-
-
-def _members_from_assignment(assignment: np.ndarray, k: int) -> list:
-    order = np.argsort(assignment, kind="stable")
-    sizes = np.bincount(assignment, minlength=k)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    return [np.sort(order[bounds[c]:bounds[c + 1]]).astype(np.int64) for c in range(k)]
 
 
 def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int):
@@ -225,7 +221,6 @@ def fit(
     iterations: int,
     seed: int,
     threads: int = 1,
-    init_sample_cap: int = 16384,
 ) -> KMeansModel:
     """Cluster unit embeddings into k clusters.
 
@@ -246,7 +241,7 @@ def fit(
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
 
-    centroids64 = _init_centroids(e.data, e.ids, k, seed, init_sample_cap)
+    centroids64 = _init_centroids(e.data, e.ids, k, seed, _INIT_SAMPLE_CAP)
     assignment = None
     trace: list[float] = []
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup_core import KeepStrategy, prefix_maxima
+from .dedup_core import DEFAULT_TILE, KeepStrategy, prefix_maxima
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import BracketError, InvalidArgumentError
 from .rng import hashed_uniform
@@ -109,7 +109,7 @@ def size_curve(
     strategy: KeepStrategy,
     epsilons,
     seed: int = 0,
-    tile: int = 1024,
+    tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> SizeCurve:
     """Sampled kept-fraction at each threshold; duplicates collapse to one point."""
@@ -181,7 +181,7 @@ def tune_epsilon(
     tol_fraction: float = DEFAULT_TOL_FRACTION,
     max_probes: int = DEFAULT_MAX_PROBES,
     seed: int = 0,
-    tile: int = 1024,
+    tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> TuneResult:
     """``select_epsilon`` on the sampled clusters' prefix maxima; ``max_probes`` bounds nothing."""

@@ -1,13 +1,14 @@
 import json
 import shutil
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from semdedup import analysis_metrics, dedup_core
-from semdedup.cli import main
-from semdedup.embedding_store import EmbeddingMatrix, write_embeddings
+from semdedup import analysis_metrics, cli, dedup_core
+from semdedup.cli import _FLAG_NAMES, PipelineConfig, main
+from semdedup.embedding_store import EmbeddingMatrix, load_embeddings, write_embeddings
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VALIDATION
 from semdedup.spherical_kmeans import load_model, nearest_clusters
 
@@ -155,16 +156,16 @@ def test_intersect_malformed_keep_list_exit_format(tmp_path):
         assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
 
 
-def counting_pair_tiles(monkeypatch, module):
-    """Count calls through ``module.pair_tiles``; the returned list holds the count."""
+def counting(monkeypatch, module, name="pair_tiles"):
+    """Count calls through ``module.name``; the returned list holds the count."""
     calls = [0]
-    original = module.pair_tiles
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, "pair_tiles", wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -173,7 +174,8 @@ def test_stats_malformed_summary_exit_format(tmp_path, corpus_file, monkeypatch)
     assert run_cluster(corpus_file, outdir) == 0
     good = {"epsilon": 0.3, "per_cluster_removed": [0, 0, 0, 0]}
     summary = tmp_path / "summary.json"
-    calls = counting_pair_tiles(monkeypatch, analysis_metrics)
+    calls = counting(monkeypatch, analysis_metrics)
+    loads = counting(monkeypatch, cli, "load_embeddings")
     bad_epsilons = ("abc", 5, 0, True, float("nan"), "0.05")
     for bad in ("{not json", json.dumps({"epsilon": 0.3}),
                 json.dumps({**good, "per_cluster_removed": [0, 1.5, 0, 0]}),
@@ -183,6 +185,21 @@ def test_stats_malformed_summary_exit_format(tmp_path, corpus_file, monkeypatch)
             "stats", "--input", str(corpus_file), "--model", str(outdir / "model.semk"),
             "--summary", str(summary), "--epsilon", "0.3", "--output-dir", str(tmp_path / "out"),
         ]) == EXIT_FORMAT, bad
+    assert not (tmp_path / "out").exists()
+    assert calls == [0]
+    assert loads == [0]  # the summary is checked before the corpus is read
+
+
+def test_stats_wrong_count_list_length_exits_before_any_sweep(tmp_path, corpus_file, monkeypatch):
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"epsilon": 0.3, "per_cluster_removed": [0, 0, 0]}))  # k - 1
+    calls = counting(monkeypatch, analysis_metrics)
+    assert main([
+        "stats", "--input", str(corpus_file), "--model", str(outdir / "model.semk"),
+        "--summary", str(summary), "--output-dir", str(tmp_path / "out"),
+    ]) == EXIT_VALIDATION
     assert not (tmp_path / "out").exists()
     assert calls == [0]
 
@@ -200,7 +217,7 @@ def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
         "--epsilon", "0.05", "--output-dir", str(outdir),
     ]) == 0
     across = {tuple(sorted((c, int(b)))) for c in range(model.k) for b in nearest_clusters(model, c, 2)}
-    calls = counting_pair_tiles(monkeypatch, analysis_metrics)
+    calls = counting(monkeypatch, analysis_metrics)
     assert main([
         "stats", "--input", str(corpus), "--model", str(outdir / "model.semk"),
         "--summary", str(outdir / "summary.json"), "--neighbors", "2", "--threads", "1",
@@ -326,6 +343,58 @@ def test_config_file_with_flag_override(tmp_path, corpus_file):
     effective = json.loads((tmp_path / "flagged" / "config.json").read_text())
     assert effective["k"] == 3
     assert effective["output_dir"] == str(tmp_path / "flagged")
+
+
+# (flag, PipelineConfig field, a value other than its default) for every field
+# but output_dir, which each run below sets.
+EVERY_OPTION = (
+    ("--input", "input", "copy.semd"),
+    ("--format", "input_format", "text"),
+    ("--k", "k", 3),
+    ("--iterations", "kmeans_iterations", 4),
+    ("--seed", "seed", 5),
+    ("--epsilon", "epsilon", 0.2),
+    ("--target-fraction", "target_fraction", 0.6),
+    ("--strategy", "strategy", "random"),
+    ("--sample-fraction", "sample_fraction", 0.5),
+    ("--neighbors", "neighbors", 2),
+    ("--threads", "threads", 2),
+    ("--tile", "tile", 64),
+    ("--eps-lo", "eps_lo", 0.01),
+    ("--eps-hi", "eps_hi", 0.4),
+    ("--tol-fraction", "tol_fraction", 0.05),
+    ("--max-probes", "max_probes", 3),
+    ("--bins", "histogram_bins", 50),
+)
+
+
+def test_every_config_field_is_one_flag_and_one_config_key(tmp_path, corpus_file):
+    assert _FLAG_NAMES == {"input_format": "--format", "kmeans_iterations": "--iterations",
+                           "histogram_bins": "--bins"}
+    names = [name for _, name, _ in EVERY_OPTION]
+    assert sorted([*names, "output_dir"]) == sorted(f.name for f in fields(PipelineConfig))
+    shutil.copy(corpus_file, tmp_path / "copy.semd")
+    text_corpus = tmp_path / "corpus.txt"
+    write_embeddings(load_embeddings(corpus_file), text_corpus, format="text")
+    defaults = asdict(PipelineConfig())
+    for flag, name, value in EVERY_OPTION:
+        if name == "input":
+            value = str(tmp_path / value)
+        assert value != defaults[name]
+        values = {"input": str(corpus_file), "k": 2, name: value}
+        if name == "input_format":
+            values["input"] = str(text_corpus)
+        for source in ("flag", "config"):
+            out = tmp_path / f"{name}-{source}"
+            if source == "flag":
+                argv = ["--input", values["input"], "--k", str(values["k"]), flag, str(value)]
+            else:
+                config = tmp_path / f"{name}.json"
+                config.write_text(json.dumps(values))
+                argv = ["--config", str(config)]
+            assert main(["cluster", *argv, "--output-dir", str(out)]) == 0, (name, source)
+            effective = json.loads((out / "config.json").read_text())
+            assert effective == {**defaults, **values, "output_dir": str(out)}, (name, source)
 
 
 def test_unknown_config_key_rejected(tmp_path, corpus_file):
@@ -456,16 +525,17 @@ def test_sweep_curve_non_increasing(tmp_path, step_corpus_file):
     assert all(b <= a for a, b in zip(fracs, fracs[1:]))
 
 
-def test_sweep_rejects_bad_epsilon_lists(tmp_path, corpus_file):
+def test_sweep_rejects_bad_epsilon_lists(tmp_path, corpus_file, monkeypatch):
     outdir = tmp_path / "run"
     assert run_cluster(corpus_file, outdir) == 0
     model = str(outdir / "model.semk")
     base = ["sweep", "--input", str(corpus_file), "--model", model,
-            "--epsilon", "0.1", "--output-dir", str(outdir)]
-    assert main(base + ["--epsilons", "0.2,0.1"]) == EXIT_VALIDATION
-    assert main(base + ["--epsilons", "0.2,0.2"]) == EXIT_VALIDATION
-    assert main(base + ["--epsilons", ""]) == EXIT_VALIDATION
-    assert main(base + ["--epsilons", "0.1,x"]) == EXIT_VALIDATION
+            "--epsilon", "0.1", "--output-dir", str(tmp_path / "out")]
+    loads = counting(monkeypatch, cli, "load_embeddings")
+    for bad in ("0.2,0.1", "0.2,0.2", "", "0.1,x", "0.5,1.5", "0,0.5"):
+        assert main(base + ["--epsilons", bad]) == EXIT_VALIDATION, bad
+    assert loads == [0]  # every list is checked before the corpus is read
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semdedup import dedup_core
+from semdedup.analysis_metrics import dedup_efficiency, within_cluster_pass
 from semdedup.dedup_core import (
     DedupConfig,
     KeepStrategy,
@@ -11,6 +12,7 @@ from semdedup.dedup_core import (
     kept_ids,
     order_cluster,
     pair_tiles,
+    prefix_maxima,
     read_keep_list,
     summary_dict,
     write_keep_list,
@@ -18,6 +20,7 @@ from semdedup.dedup_core import (
 from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
+from semdedup.threshold_tuner import size_curve
 from semdedup.embedding_store import UnitEmbeddingMatrix, normalize_rows
 
 from conftest import random_unit, single_cluster_model, unit_rows
@@ -204,6 +207,38 @@ def test_dedup_config_validation():
         DedupConfig(epsilon=0.5, tile=0)
     with pytest.raises(InvalidArgumentError):
         KeepStrategy.parse("bogus")
+
+
+def test_strategy_value_is_its_member(rng):
+    e = random_unit(rng, 80, 8)
+    model = fit(e, 3, 5, seed=0)
+    for member in KeepStrategy:
+        assert KeepStrategy.parse(member) is member
+        assert KeepStrategy.parse(member.value) is member
+        assert DedupConfig(epsilon=0.05, strategy=member.value).strategy is member
+        assert np.array_equal(prefix_maxima(e, model, member.value, 3),
+                              prefix_maxima(e, model, member, 3))
+    with pytest.raises(InvalidArgumentError):
+        DedupConfig(epsilon=0.05, strategy="bogus")
+    with pytest.raises(InvalidArgumentError):
+        prefix_maxima(e, model, "bogus", 3)
+
+
+@pytest.mark.parametrize("tile", [0, -1])
+def test_every_tiled_call_rejects_tile_below_one(rng, tile):
+    # Exact copies, so a call that silently computed nothing would be visible.
+    e = unit_rows(np.repeat(rng.standard_normal((20, 8)), 2, axis=0))
+    model = fit(e, 3, 5, seed=0)
+    strategy = KeepStrategy.LOW_CENTROID_SIM
+    calls = (
+        lambda: prefix_maxima(e, model, strategy, 0, tile),
+        lambda: within_cluster_pass(e, model, tile=tile),
+        lambda: dedup_efficiency(e, model, 0.05, 1, tile=tile),
+        lambda: size_curve(e, model, np.arange(model.k), strategy, [0.05], tile=tile),
+    )
+    for call in calls:
+        with pytest.raises(InvalidArgumentError):
+            call()
 
 
 def test_dedup_dataset_tiny_epsilon_keeps_everything(rng):

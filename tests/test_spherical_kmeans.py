@@ -294,7 +294,15 @@ def test_members_partition(rng):
     concatenated = np.sort(np.concatenate(model.members))
     assert np.array_equal(concatenated, np.arange(97))
     for members in model.members:
+        assert members.dtype == np.int64
         assert np.all(np.diff(members) > 0)  # sorted ascending
+
+
+def test_members_derive_from_assignment():
+    with pytest.raises(TypeError):
+        KMeansModel(np.eye(2, dtype=np.float32), np.array([0, 1]), members=[[0], [0]])
+    model = KMeansModel(np.eye(3, dtype=np.float32), np.array([2, 0, 2, 2, 0]))
+    assert [m.tolist() for m in model.members] == [[1, 4], [], [0, 2, 3]]
 
 
 def test_permutation_invariance_over_ids(rng):
