@@ -29,6 +29,7 @@ from .embedding_store import (
     UnitEmbeddingMatrix,
     load_embeddings,
     normalize_rows,
+    normalize_rows_in_place,
     write_embeddings,
     write_subset,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "load_model",
     "nearest_clusters",
     "normalize_rows",
+    "normalize_rows_in_place",
     "order_cluster",
     "per_cluster_stats",
     "prefix_maxima",

@@ -11,6 +11,14 @@ concurrent calls share one pin). The workers then keep ``threads`` cores
 busy instead of queueing on OpenBLAS's own pool, and no GEMM is split across
 OpenBLAS threads, so what ``fn`` computes depends on neither ``threads`` nor
 the machine's core count. Without a bundled OpenBLAS the count is left alone.
+
+``SCRATCH_BYTES`` is the memory budget beside it: a row-blocked loop takes as
+many rows as fit it (``budget_rows``) and allocates that scratch once per
+call. It sets memory only, never a result, and is not a user option. A
+command's peak memory is then the interpreter, plus one normalized corpus
+(see ``embedding_store``), plus for ``cluster`` the k-means init sample of
+min(n, max(16384, 4k)) * d * 8 bytes, plus per worker thread two float64
+similarity tiles, the budget and the rows of the cluster at hand.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ THREADS_ENV_VAR = "SEMDEDUP_THREADS"
 # Symbol families of numpy's bundled OpenBLAS, newest wheels first.
 _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads")
+
+# Bytes of row-blocked scratch one worker holds at a time.
+SCRATCH_BYTES = 2 << 20
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -59,11 +70,22 @@ def resolve_threads(threads: int = 0) -> int:
     return os.cpu_count() or 1
 
 
-def chunk_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
-    """Half-open [lo, hi) ranges covering [0, n) in fixed-size chunks."""
+def budget_rows(row_bytes: int) -> int:
+    """Rows whose scratch, ``row_bytes`` each, fits in SCRATCH_BYTES (at least one)."""
+    return max(1, SCRATCH_BYTES // max(row_bytes, 1))
+
+
+def chunk_ranges(n: int, chunk: int, min_rows: int = 1) -> list[tuple[int, int]]:
+    """Half-open [lo, hi) ranges covering [0, n) in fixed-size chunks.
+
+    A last range shorter than ``min_rows`` joins the one before it.
+    """
     if chunk <= 0:
         raise ValueError("chunk must be positive")
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    if len(spans) > 1 and spans[-1][1] - spans[-1][0] < min_rows:
+        spans[-2:] = [(spans[-2][0], n)]
+    return spans
 
 
 @functools.cache

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._parallel import map_ordered
+from ._parallel import budget_rows, chunk_ranges, map_ordered
 from .dedup_core import DEFAULT_TILE, pair_tiles
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
@@ -77,7 +77,10 @@ def within_cluster_pass(
         counts = np.zeros(bins, dtype=np.int64)
         near = np.full(members.size, -np.inf)
         for i0, j0, sims in pair_tiles(e.data[members], tile=tile):
-            counts += np.bincount(_bin_indices(sims[sims > -np.inf], bins), minlength=bins)
+            # About four float64 temporaries per cosine while binning.
+            for lo, hi in chunk_ranges(sims.shape[0], budget_rows(32 * sims.shape[1])):
+                block = sims[lo:hi]
+                counts += np.bincount(_bin_indices(block[block > -np.inf], bins), minlength=bins)
             rows = near[i0:i0 + sims.shape[0]]
             np.maximum(rows, sims.max(axis=1), out=rows)
             cols = near[j0:j0 + sims.shape[1]]

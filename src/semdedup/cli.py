@@ -47,7 +47,7 @@ from .dedup_core import (
     threshold,
     write_keep_list,
 )
-from .embedding_store import load_embeddings, normalize_rows, write_embeddings
+from .embedding_store import load_embeddings, normalize_rows_in_place, write_embeddings
 from .errors import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -172,8 +172,7 @@ class PipelineConfig:
 def _load_corpus(cfg: PipelineConfig):
     if not cfg.input:
         raise InvalidArgumentError("input path is required")
-    matrix = load_embeddings(cfg.input, format=cfg.input_format)
-    return normalize_rows(matrix)
+    return normalize_rows_in_place(load_embeddings(cfg.input, format=cfg.input_format))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -20,7 +20,8 @@ float64 tiles of ``a @ b.T``. Given ``b``, the tiles cover every (row of a,
 row of b) pair. Without ``b`` they cover each unordered pair within ``a`` once,
 as (earlier, later): only tiles with j0 >= i0 are computed, and in a
 diagonal tile the entries on and below the diagonal are -inf. ``tile``
-changes speed and memory, and a cosine only within float64 rounding.
+changes speed and memory, and a cosine only within float64 rounding. Rows are
+cast to float64 one tile at a time, so a caller passes float32 rows as they are.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import map_ordered
+from ._parallel import budget_rows, chunk_ranges, map_ordered
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import FormatError, InvalidArgumentError
 from .rng import hash_u64, hashed_uniform
@@ -61,6 +62,11 @@ class KeepStrategy(enum.Enum):
             ) from None
 
 
+def _check_tile(tile: int) -> None:
+    if tile < 1:
+        raise InvalidArgumentError(f"tile must be >= 1, got {tile}")
+
+
 @dataclass(frozen=True)
 class DedupConfig:
     epsilon: float
@@ -72,8 +78,7 @@ class DedupConfig:
         object.__setattr__(self, "strategy", KeepStrategy.parse(self.strategy))
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidArgumentError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.tile < 1:
-            raise InvalidArgumentError("tile must be >= 1")
+        _check_tile(self.tile)
 
 
 @dataclass
@@ -114,8 +119,10 @@ def order_cluster(
         key = hashed_uniform(seed, _TAG_ORDER, ids)
     else:
         # Row by row: one GEMV would round a row's dot product by its position.
-        rows = e.data[members].astype(np.float64)
-        key = np.einsum("ij,j->i", rows, np.asarray(centroid, dtype=np.float64))
+        centroid = np.asarray(centroid, dtype=np.float64)
+        key = np.empty(members.size)
+        for lo, hi in chunk_ranges(members.size, budget_rows(12 * e.d)):
+            key[lo:hi] = np.einsum("ij,j->i", e.data[members[lo:hi]].astype(np.float64), centroid)
         if strategy is KeepStrategy.HIGH_CENTROID_SIM:
             key = -key
     return members[np.lexsort((ids, key))]
@@ -123,18 +130,20 @@ def order_cluster(
 
 def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_TILE):
     """Yield ``(i0, j0, sims)``: float64 tiles of ``a @ b.T`` (see module docstring)."""
-    if tile < 1:
-        raise InvalidArgumentError(f"tile must be >= 1, got {tile}")
-    a = np.asarray(a, dtype=np.float64)
+    _check_tile(tile)
     within = b is None
-    cols = a if within else np.asarray(b, dtype=np.float64)
+    cols = a if within else b
     for j0 in range(0, cols.shape[0], tile):
-        block = cols[j0:j0 + tile]
+        block = np.asarray(cols[j0:j0 + tile], dtype=np.float64)
         i_end = min(j0 + tile, a.shape[0]) if within else a.shape[0]
         for i0 in range(0, i_end, tile):
-            sims = a[i0:i0 + tile] @ block.T
             if within and i0 == j0:
+                # One array times its own transpose goes to syrk, which rounds
+                # unlike gemm: the diagonal tile stays that product.
+                sims = block @ block.T
                 np.copyto(sims, -np.inf, where=np.tri(*sims.shape, dtype=bool))
+            else:
+                sims = np.asarray(a[i0:i0 + tile], dtype=np.float64) @ block.T
             yield i0, j0, sims
 
 
@@ -168,6 +177,8 @@ def prefix_maxima(
     row, singletons included, reads 0 and is kept at any epsilon.
     """
     model.check_matches(e)
+    strategy = KeepStrategy.parse(strategy)
+    _check_tile(tile)
     pmax = np.zeros(e.n, dtype=np.float64)
 
     def one(c: int) -> None:

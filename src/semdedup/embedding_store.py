@@ -9,6 +9,13 @@ Two on-disk formats:
 
 Rows are stored as float32; all similarity math elsewhere accumulates in
 float64.
+
+Memory: a binary file is read straight into the final float32 array, and
+checks and norms run in row blocks whose scratch the ``_parallel`` budget
+sizes. ``load_embeddings`` followed by ``normalize_rows_in_place`` holds one
+copy of the corpus, plus that budget and a sorted copy of the ids;
+``normalize_rows`` returns a second copy. The memory model of a whole command
+is stated in ``_parallel``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._parallel import budget_rows, chunk_ranges
 from .errors import DataError, DegenerateRowError, FormatError, InvalidArgumentError
 
 MAGIC = b"SEMD"
@@ -39,13 +47,17 @@ UNIT_NORM_TOL = 1e-5
 def _validate_payload(data: np.ndarray, ids: np.ndarray) -> None:
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
         raise InvalidArgumentError(f"embedding matrix must be 2-D and non-empty, got shape {data.shape}")
-    bad = ~np.isfinite(data)
-    if bad.any():
-        row = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise DataError(f"non-finite value in row {row}")
+    rows = min(data.shape[0], budget_rows(data.shape[1]))
+    finite = np.empty((rows, data.shape[1]), dtype=bool)
+    for lo, hi in chunk_ranges(data.shape[0], rows):
+        block = np.isfinite(data[lo:hi], out=finite[:hi - lo])
+        if not block.all():
+            row = lo + int(np.flatnonzero(~block.all(axis=1))[0])
+            raise DataError(f"non-finite value in row {row}")
     if ids.shape != (data.shape[0],):
         raise InvalidArgumentError(f"ids length {ids.shape} does not match row count {data.shape[0]}")
-    if np.unique(ids).size != ids.size:
+    ordered = np.sort(ids)  # np.unique peaked at 8x the ids' size
+    if (ordered[1:] == ordered[:-1]).any():
         raise DataError("duplicate ids in embedding matrix")
 
 
@@ -73,9 +85,15 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
-# Row blocks for norm computations; keeps the float64 temporaries small
-# (4 MiB at d = 128) whatever the corpus size.
-_NORM_CHUNK = 4096
+def _row_norms(data: np.ndarray):
+    """Yield ``(lo, hi, norms)``: float64 L2 norms of row blocks, in scratch reused per block."""
+    n, d = data.shape
+    rows = min(n, budget_rows(8 * d))
+    wide, norms = np.empty((rows, d)), np.empty(rows)
+    for lo, hi in chunk_ranges(n, rows):
+        block, out = wide[:hi - lo], norms[:hi - lo]
+        np.square(data[lo:hi], out=block, dtype=np.float64)
+        yield lo, hi, np.sqrt(np.add.reduce(block, axis=1, out=out), out=out)
 
 
 @dataclass
@@ -84,49 +102,58 @@ class UnitEmbeddingMatrix(EmbeddingMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        for lo in range(0, self.n, _NORM_CHUNK):
-            hi = min(lo + _NORM_CHUNK, self.n)
-            norms = np.linalg.norm(self.data[lo:hi].astype(np.float64), axis=1)
+        for lo, _, norms in _row_norms(self.data):
             off = np.abs(norms - 1.0)
-            if off.size and off.max() > UNIT_NORM_TOL:
-                row = lo + int(np.argmax(off))
+            if off.max() > UNIT_NORM_TOL:
+                worst = int(np.argmax(off))
                 raise InvalidArgumentError(
-                    f"row {row} has norm {norms[np.argmax(off)]:.8f}, "
+                    f"row {lo + worst} has norm {norms[worst]:.8f}, "
                     f"expected 1 within {UNIT_NORM_TOL}"
                 )
 
 
-def normalize_rows(m: EmbeddingMatrix) -> UnitEmbeddingMatrix:
-    """Scale every row to unit L2 norm (float64 accumulation, float32 out).
-
-    Raises DegenerateRowError for rows with norm below 1e-12; ids and row
-    order are preserved. Idempotent within float32 rounding.
-    """
-    unit = np.empty_like(m.data)
-    for lo in range(0, m.n, _NORM_CHUNK):
-        hi = min(lo + _NORM_CHUNK, m.n)
-        wide = m.data[lo:hi].astype(np.float64)
-        norms = np.linalg.norm(wide, axis=1)
+def _normalized(m: EmbeddingMatrix, out: np.ndarray, ids: np.ndarray) -> UnitEmbeddingMatrix:
+    """``m``'s rows scaled to unit norm, written into ``out`` (which may be ``m.data``)."""
+    for lo, hi, norms in _row_norms(m.data):
         tiny = norms < ZERO_NORM_EPS
         if tiny.any():
             local = int(np.flatnonzero(tiny)[0])
             raise DegenerateRowError(
                 f"row {lo + local} has norm {norms[local]:.3e}, cannot normalize"
             )
-        wide /= norms[:, None]
-        unit[lo:hi] = wide
+        np.divide(m.data[lo:hi], norms[:, None], out=out[lo:hi], casting="same_kind")
     # Validated rows, each divided by its own norm: the unit checks cannot fail.
-    out = UnitEmbeddingMatrix.__new__(UnitEmbeddingMatrix)
-    out.data, out.ids = unit, m.ids.copy()
-    return out
+    unit = UnitEmbeddingMatrix.__new__(UnitEmbeddingMatrix)
+    unit.data, unit.ids = out, ids
+    return unit
+
+
+def normalize_rows(m: EmbeddingMatrix) -> UnitEmbeddingMatrix:
+    """A copy with every row scaled to unit L2 norm (float64 accumulation, float32 out).
+
+    Raises DegenerateRowError for rows with norm below 1e-12; ids and row
+    order are preserved. Idempotent within float32 rounding.
+    """
+    return _normalized(m, np.empty_like(m.data), m.ids.copy())
+
+
+def normalize_rows_in_place(m: EmbeddingMatrix) -> UnitEmbeddingMatrix:
+    """``normalize_rows(m)`` written over ``m``'s own rows, which it then shares."""
+    return _normalized(m, m.data, m.ids)
+
+
+def _check_left(fh, count: int, what: str) -> None:
+    # Counts come from headers: check them against the file before reading.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise FormatError(f"truncated file: expected {count} bytes for {what}, {left} left")
 
 
 def read_exact(fh, count: int, what: str) -> bytes:
-    # Counts come from headers: check them against the file before reading.
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    buf = fh.read(count) if count <= left else b""
-    if len(buf) != count:
-        raise FormatError(f"truncated file: expected {count} bytes for {what}, {left} left")
+    _check_left(fh, count, what)
+    buf = fh.read(count)
+    if len(buf) != count:  # the file shrank after the check
+        raise FormatError(f"truncated file: expected {count} bytes for {what}, {len(buf)} read")
     return buf
 
 
@@ -142,12 +169,14 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
             raise FormatError(f"unsupported dtype code {dtype_code}")
         if n < 1 or d < 1:
             raise FormatError(f"invalid dimensions n={n} d={d}")
-        payload = read_exact(fh, n * d * 4 + n * 8, "row data and ids")
+        _check_left(fh, n * d * 4 + n * 8, "row data and ids")
+        data, ids = np.empty((n, d), dtype=_F32), np.empty(n, dtype=_U64)
+        for part in (data, ids):
+            if fh.readinto(part) != part.nbytes:  # the file shrank after the check
+                raise FormatError("truncated file: row data and ids ended early")
         if fh.read(1):
             raise FormatError("trailing bytes after payload")
-    data = np.frombuffer(payload, dtype=_F32, count=n * d).reshape(n, d)
-    ids = np.frombuffer(payload, dtype=_U64, offset=n * d * 4)
-    return EmbeddingMatrix(data.copy(), ids.copy())
+    return EmbeddingMatrix(data, ids)
 
 
 def _load_text(path: Path) -> EmbeddingMatrix:

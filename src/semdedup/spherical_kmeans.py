@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import chunk_ranges, map_ordered
+from ._parallel import budget_rows, chunk_ranges, map_ordered
 from .embedding_store import UnitEmbeddingMatrix, read_exact
 from .errors import FormatError, InvalidArgumentError
 from .rng import hashed_uniform
@@ -25,8 +25,14 @@ _MODEL_HEADER = struct.Struct("<4sIII")
 
 CENTROID_NORM_TOL = 1e-6
 
-# Fixed grid for chunked passes; a function of k only, never of thread count.
+# Fixed grid for chunked passes; a function of k only, never of thread count
+# or of the scratch budget, which sizes the sub-blocks inside each chunk.
 _SCORE_BUDGET = 16_000_000
+# OpenBLAS gives single rows and GEMMs of at most 10^6 multiply-adds kernels
+# that round unlike its blocked GEMM, whose rows do not depend on M. A chunk's
+# sub-blocks stay above both, so they score each row as the whole chunk would;
+# when k * d is small, that floor and not the scratch budget sizes them.
+_SMALL_GEMM = 1_000_000
 # Rows per gather-and-transpose step of _centroid_sums; its strided read stays in cache.
 _GATHER_ROWS = 256
 # Points the seeding races over, at least 4k; see _init_centroids.
@@ -91,19 +97,25 @@ class KMeansModel:
 
 def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int):
     """Argmax-cosine assignment plus the winning cosine, chunked over points."""
-    n = data.shape[0]
+    n, d = data.shape
     k = centroids64.shape[0]
     assignment = np.empty(n, dtype=np.uint32)
     best = np.empty(n, dtype=np.float64)
     ct = centroids64.T
+    least = max(2, _SMALL_GEMM // (k * d) + 1)
+    rows = max(budget_rows(8 * (d + k)), least)
 
     def one(span):
         lo, hi = span
-        scores = data[lo:hi].astype(np.float64) @ ct
-        idx = np.argmax(scores, axis=1)  # ties -> lowest cluster index
-        assignment[lo:hi] = idx.astype(np.uint32)
-        best[lo:hi] = scores[np.arange(hi - lo), idx]
-        return None
+        blocks = chunk_ranges(hi - lo, rows, least)
+        size = max(b - a for a, b in blocks)
+        wide, scores = np.empty((size, d)), np.empty((size, k))
+        for a, b in blocks:
+            np.copyto(wide[:b - a], data[lo + a:lo + b])
+            s = np.matmul(wide[:b - a], ct, out=scores[:b - a])
+            idx = np.argmax(s, axis=1)  # ties -> lowest cluster index
+            assignment[lo + a:lo + b] = idx
+            best[lo + a:lo + b] = s[np.arange(b - a), idx]
 
     map_ordered(one, chunk_ranges(n, _pass_chunk(k)), threads)
     return assignment, best
@@ -112,10 +124,12 @@ def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int):
 def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: int) -> np.ndarray:
     """Per-cluster float64 row sums; chunk partials combined in grid order.
 
-    Each chunk is gathered cluster by cluster into a (d, rows) block, so
-    reduceat reads each cluster's segment at unit stride. It adds a segment's
-    first value to numpy's pairwise sum of the rest; adding rows one at a
-    time (``sum(axis=0)`` per segment) would round differently.
+    Each chunk's rows, sorted by cluster, are gathered into (d, rows) blocks,
+    so reduceat reads each cluster's segment at unit stride. It adds a
+    segment's first value to numpy's pairwise sum of the rest; adding rows one
+    at a time (``sum(axis=0)`` per segment) would round differently, and so
+    would splitting a segment. A block therefore holds whole segments: those
+    that start in one budget-sized window of the sorted rows.
     """
     n, d = data.shape
 
@@ -125,12 +139,17 @@ def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: in
         order = np.argsort(a, kind="stable")
         sorted_a = a[order]
         rows = data[lo:hi]
-        cols = np.empty((d, hi - lo), dtype=np.float64)
-        for r in range(0, hi - lo, _GATHER_ROWS):
-            cols[:, r:r + _GATHER_ROWS] = rows[order[r:r + _GATHER_ROWS]].T
         starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+        window = starts // budget_rows(8 * d)
+        firsts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+        edges = np.r_[starts[firsts], hi - lo]
+        scratch = np.empty(d * int(np.diff(edges).max()))
         part = np.zeros((k, d), dtype=np.float64)
-        part[sorted_a[starts]] = np.add.reduceat(cols, starts, axis=1).T
+        for s0, s1, r0, r1 in zip(firsts, np.r_[firsts[1:], starts.size], edges, edges[1:]):
+            cols = scratch[:d * (r1 - r0)].reshape(d, r1 - r0)
+            for r in range(r0, r1, _GATHER_ROWS):
+                cols[:, r - r0:r - r0 + _GATHER_ROWS] = rows[order[r:min(r + _GATHER_ROWS, r1)]].T
+            part[sorted_a[starts[s0:s1]]] = np.add.reduceat(cols, starts[s0:s1] - r0, axis=1).T
         return part
 
     sums = np.zeros((k, d), dtype=np.float64)
@@ -159,12 +178,14 @@ def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int, sample
         positions = np.arange(n)
     # Canonical ascending-id order makes argmin ties resolve to lowest id.
     positions = positions[np.argsort(ids[positions], kind="stable")]
-    sub = data[positions].astype(np.float64)
+    m, d = positions.size, data.shape[1]
+    sub = np.empty((m, d))
+    for lo, hi in chunk_ranges(m, budget_rows(4 * d)):
+        sub[lo:hi] = data[positions[lo:hi]]
     sub_ids = ids[positions]
-    m = sub.shape[0]
 
     chosen = np.zeros(m, dtype=bool)
-    centroids = np.empty((k, data.shape[1]), dtype=np.float64)
+    centroids = np.empty((k, d), dtype=np.float64)
 
     u = hashed_uniform(seed, _TAG_INIT_ROUND, sub_ids)
     pick = int(np.argmin(u))

@@ -173,6 +173,19 @@ def test_pair_tiles_cover_each_pair_once():
         assert np.allclose(got, full_across, rtol=0, atol=1e-12)
 
 
+def test_pair_tiles_equal_products_of_the_cast_rows():
+    # Casting per tile keeps every product as it was on the whole cast: a
+    # diagonal tile is one array times its own transpose, which numpy sends to
+    # syrk; a product of two copies would go to gemm and round differently.
+    a = np.random.default_rng(4).standard_normal((300, 64)).astype(np.float32)
+    wide = a.astype(np.float64)
+    for i0, j0, sims in pair_tiles(a, tile=128):
+        rows = wide[i0:i0 + sims.shape[0]]
+        want = rows @ rows.T if i0 == j0 else rows @ wide[j0:j0 + sims.shape[1]].T
+        live = sims > -np.inf
+        assert np.array_equal(sims[live], want[live])
+
+
 def test_dedup_dataset_calls_cluster_steps_through_module(rng, monkeypatch):
     # The benchmark's traced run wraps these two module attributes to time each cluster.
     e = random_unit(rng, 120, 6)
@@ -239,6 +252,16 @@ def test_every_tiled_call_rejects_tile_below_one(rng, tile):
     for call in calls:
         with pytest.raises(InvalidArgumentError):
             call()
+
+
+@pytest.mark.parametrize("strategy, tile", [("bogus", 16), (KeepStrategy.RANDOM, 0)])
+def test_prefix_maxima_checks_arguments_without_a_cluster_to_sweep(strategy, tile):
+    # Four one-hot points in four clusters: every cluster is a singleton.
+    e = unit_rows(np.eye(4))
+    model = fit(e, 4, 3, seed=0)
+    assert np.array_equal(model.cluster_sizes(), [1, 1, 1, 1])
+    with pytest.raises(InvalidArgumentError):
+        prefix_maxima(e, model, strategy, 0, tile=tile)
 
 
 def test_dedup_dataset_tiny_epsilon_keeps_everything(rng):

@@ -3,12 +3,13 @@ import struct
 import numpy as np
 import pytest
 
-from semdedup import embedding_store
+from semdedup import _parallel, embedding_store
 from semdedup.embedding_store import (
     EmbeddingMatrix,
     UnitEmbeddingMatrix,
     load_embeddings,
     normalize_rows,
+    normalize_rows_in_place,
     write_embeddings,
     write_subset,
 )
@@ -215,7 +216,7 @@ def test_normalize_chunks_match_whole_matrix(monkeypatch):
     data = (local.standard_normal((50, 13)) * 10.0 ** local.uniform(-6, 6, (50, 1))).astype(np.float32)
     x64 = data.astype(np.float64)
     reference = (x64 / np.linalg.norm(x64, axis=1)[:, None]).astype(np.float32)
-    monkeypatch.setattr(embedding_store, "_NORM_CHUNK", 7)
+    monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 7 * 13 * 8)  # 7 float64 rows
     u = normalize_rows(EmbeddingMatrix(data))
     assert np.array_equal(u.data, reference)
 
@@ -290,3 +291,74 @@ def test_write_subset_errors(tmp_path):
         write_subset(m, [], tmp_path / "x.semd")
     with pytest.raises(DataError, match="unknown"):
         write_subset(m, [99], tmp_path / "x.semd")
+
+
+def load_in_place(path, format="binary"):
+    """The CLI's loader: no second copy of the corpus."""
+    return normalize_rows_in_place(load_embeddings(path, format))
+
+
+def _hand_written(path, data, ids):
+    """A SEMD1 file written without the writer's checks."""
+    data = np.asarray(data, dtype="<f4")
+    header = struct.pack("<4sIQII", b"SEMD", 1, data.shape[0], data.shape[1], 1)
+    path.write_bytes(header + data.tobytes() + np.asarray(ids, dtype="<u8").tobytes())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_a_later_block_names_its_row(tmp_path, monkeypatch, bad):
+    data = np.ones((40, 3))
+    data[29, 1] = data[35, 0] = bad
+    path = tmp_path / "m.semd"
+    _hand_written(path, data, np.arange(40))
+    monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 8 * 3)  # 8 rows per finiteness block
+    for load in (load_embeddings, load_in_place):
+        with pytest.raises(DataError, match=r"^non-finite value in row 29$"):
+            load(path)
+
+
+def test_loaders_keep_their_format_messages(tmp_path):
+    path = tmp_path / "m.semd"
+    write_embeddings(EmbeddingMatrix(np.eye(2, dtype=np.float32)), path)
+    raw = path.read_bytes()
+    cases = {
+        raw[:-1]: r"^truncated file: expected 32 bytes for row data and ids, 31 left$",
+        raw[:20]: r"^truncated file: expected 24 bytes for header, 20 left$",
+        raw + b"\x00": r"^trailing bytes after payload$",
+    }
+    for content, message in cases.items():
+        path.write_bytes(content)
+        for load in (load_embeddings, load_in_place):
+            with pytest.raises(FormatError, match=message):
+                load(path)
+
+
+def test_in_place_loader_rejects_duplicate_ids_and_zero_rows(tmp_path, monkeypatch):
+    path = tmp_path / "m.semd"
+    _hand_written(path, np.eye(3), [4, 9, 4])
+    with pytest.raises(DataError, match="^duplicate ids in embedding matrix$"):
+        load_in_place(path)
+    data = np.ones((40, 3))
+    data[33] = 0.0
+    _hand_written(path, data, np.arange(40))
+    monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 8 * 3 * 8)  # 8 rows per norm block
+    with pytest.raises(DegenerateRowError, match="^row 33 has norm 0.000e"):
+        load_in_place(path)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_in_place_loader_normalizes_the_loaded_buffer(tmp_path, fmt):
+    path = tmp_path / "m.data"
+    m = EmbeddingMatrix(np.random.default_rng(7).standard_normal((30, 5)).astype(np.float32))
+    write_embeddings(m, path, format=fmt)
+    loaded = load_embeddings(path, fmt)
+    u = normalize_rows_in_place(loaded)
+    assert isinstance(u, UnitEmbeddingMatrix)
+    assert u.data is loaded.data and u.ids is loaded.ids  # no second copy
+    want = normalize_rows(load_embeddings(path, fmt))
+    assert np.array_equal(u.data.view(np.uint32), want.data.view(np.uint32))
+    assert np.array_equal(u.ids, want.ids)
+    if fmt == "text":
+        path.write_text("1 2\n0 0\n")
+        with pytest.raises(DegenerateRowError, match="^row 1 "):
+            load_in_place(path, fmt)

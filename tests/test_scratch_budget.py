@@ -1,0 +1,111 @@
+"""The scratch budget: it bounds memory and changes no result."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from semdedup import _parallel
+from semdedup.analysis_metrics import dedup_efficiency, within_cluster_pass
+from semdedup.cli import PipelineConfig, _load_corpus
+from semdedup.dedup_core import KeepStrategy, prefix_maxima
+from semdedup.embedding_store import (
+    EmbeddingMatrix,
+    load_embeddings,
+    normalize_rows,
+    normalize_rows_in_place,
+    write_embeddings,
+)
+from semdedup.spherical_kmeans import _INIT_SAMPLE_CAP, _assign_pass, fit
+
+from conftest import random_unit
+
+
+@pytest.fixture
+def one_row_budget(monkeypatch):
+    """Shrink the budget so that every row-blocked loop takes a single row per block."""
+    return lambda: monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 1)
+
+
+def _results(e, threads):
+    model = fit(e, 64, 4, seed=5, threads=threads)
+    low = KeepStrategy.LOW_CENTROID_SIM
+    return (
+        model.centroids.tobytes(),
+        model.assignment.tobytes(),
+        # The winning cosines: their low bits show how the GEMM was blocked.
+        _assign_pass(e.data, model.centroids.astype(np.float64), threads)[1].tobytes(),
+        prefix_maxima(e, model, low, 2, tile=16, threads=threads).tobytes(),
+        *(a.tobytes() for a in within_cluster_pass(e, model, 40, tile=16, threads=threads)),
+        dedup_efficiency(e, model, 0.3, 2, tile=16, threads=threads),
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_clustering_and_dedup_ignore_the_budget(one_row_budget, threads):
+    # k * d = 4096: the assignment GEMM runs on sub-blocks of 245 rows at the
+    # one-row budget and on the whole 3000-row chunk at the default one.
+    e = random_unit(np.random.default_rng(8), 3000, 64)
+    default = _results(e, threads)
+    one_row_budget()
+    assert _results(e, threads) == default
+
+
+def _magnitude_corpora():
+    """Rows spanning 1e-6..1e6, and 1e-9..1e30 (1e-3..1e30 across rows, 1e-6..1 within one)."""
+    local = np.random.default_rng(9)
+    yield (local.standard_normal((50, 13)) * 10.0 ** local.uniform(-6, 6, (50, 1))).astype(np.float32)
+    for shape in [(40, 1), (40, 2048), (300, 24)]:
+        local = np.random.default_rng(shape[1])
+        scale = 10.0 ** local.uniform(-3, 30, shape[0])[:, None] * 10.0 ** local.uniform(-6, 0, shape)
+        yield (local.choice([-1.0, 1.0], shape) * scale).astype(np.float32)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_normalization_ignores_the_budget(tmp_path, one_row_budget, index):
+    data = list(_magnitude_corpora())[index]
+    path = tmp_path / "m.semd"
+    write_embeddings(EmbeddingMatrix(data), path)
+
+    def both():
+        copy = normalize_rows(load_embeddings(path))
+        in_place = normalize_rows_in_place(load_embeddings(path))
+        assert np.array_equal(in_place.data.view(np.uint32), copy.data.view(np.uint32))
+        assert np.array_equal(in_place.ids, copy.ids)
+        return copy.data.tobytes()
+
+    default = both()
+    one_row_budget()
+    assert both() == default
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while ``fn`` runs, above what was held before it; numpy's buffers count."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_loader_holds_one_corpus_plus_the_budget(tmp_path):
+    n, d = 20_000, 64
+    path = tmp_path / "corpus.semd"
+    write_embeddings(EmbeddingMatrix(np.random.default_rng(3).standard_normal((n, d))), path)
+    corpus = n * d * 4 + n * 8
+    peak, e = _traced_peak(lambda: _load_corpus(PipelineConfig(input=str(path))))
+    # The ids' uniqueness check sorts a copy of them; the rest is slack.
+    assert peak <= corpus + _parallel.SCRATCH_BYTES + 4 * n * 8
+    assert e.data.shape == (n, d)
+
+
+@pytest.mark.parametrize("k", [20, 200])
+def test_fit_holds_the_init_sample_plus_a_budget_per_worker(k):
+    n, d, threads = 20_000, 64, 2
+    e = random_unit(np.random.default_rng(4), n, d)
+    peak, _ = _traced_peak(lambda: fit(e, k, 3, seed=1, threads=threads))
+    sample = min(n, max(_INIT_SAMPLE_CAP, 4 * k)) * d * 8
+    # Per-point vectors (assignment, best cosine, the init race) and per-chunk cluster sums.
+    assert peak <= sample + threads * _parallel.SCRATCH_BYTES + 4 * n * 8 + 8 * k * d * 8

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from semdedup import _parallel
 from semdedup._parallel import chunk_ranges, map_ordered
 from semdedup.errors import FormatError, InvalidArgumentError
 from semdedup.spherical_kmeans import (
@@ -124,6 +125,16 @@ def test_centroid_sums_equal_reference(case, threads):
     data, assignment, k = _sums_case(case)
     want, _ = reference_centroid_sums(data, assignment, k, 1)
     assert np.array_equal(_centroid_sums(data, assignment, k, threads), want)
+
+
+@pytest.mark.parametrize(
+    "case", ["empty_clusters", "k1", "k_exceeds_chunk", "split_at_boundary", "wide_magnitudes"]
+)
+def test_centroid_sums_keep_whole_segments_at_a_one_row_budget(case, monkeypatch):
+    data, assignment, k = _sums_case(case)
+    want, _ = reference_centroid_sums(data, assignment, k, 1)
+    monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 1)  # one segment per reduceat call
+    assert np.array_equal(_centroid_sums(data, assignment, k, 3), want)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
