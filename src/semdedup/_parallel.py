@@ -16,9 +16,11 @@ the machine's core count. Without a bundled OpenBLAS the count is left alone.
 many rows as fit it (``budget_rows``) and allocates that scratch once per
 call. It sets memory only, never a result, and is not a user option. A
 command's peak memory is then the interpreter, plus one normalized corpus
-(see ``embedding_store``), plus for ``cluster`` the k-means init sample of
-min(n, max(16384, 4k)) * d * 8 bytes, plus per worker thread two float64
-similarity tiles, the budget and the rows of the cluster at hand.
+(see ``embedding_store``), plus for ``cluster`` the k-means training copy of
+256k * d * 4 bytes when n > 256k and its init sample of
+min(n, 256k, max(16384, 4k)) * d * 8 bytes, plus per worker thread one float64
+similarity tile with its two cast buffers, the budget and the rows of the
+cluster at hand.
 """
 
 from __future__ import annotations

@@ -129,21 +129,35 @@ def order_cluster(
 
 
 def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_TILE):
-    """Yield ``(i0, j0, sims)``: float64 tiles of ``a @ b.T`` (see module docstring)."""
+    """Yield ``(i0, j0, sims)``: float64 tiles of ``a @ b.T`` (see module docstring).
+
+    Every tile is written into one buffer, so a yielded tile is valid until
+    the next one is requested.
+    """
     _check_tile(tile)
     within = b is None
     cols = a if within else b
+    rows_max, cols_max = min(tile, a.shape[0]), min(tile, cols.shape[0])
+    left, right = np.empty((rows_max, a.shape[1])), np.empty((cols_max, a.shape[1]))
+    flat = np.empty(rows_max * cols_max)
+    below = np.tri(cols_max, dtype=bool) if within else None
     for j0 in range(0, cols.shape[0], tile):
-        block = np.asarray(cols[j0:j0 + tile], dtype=np.float64)
+        c = min(tile, cols.shape[0] - j0)
+        block = right[:c]
+        np.copyto(block, cols[j0:j0 + c])
         i_end = min(j0 + tile, a.shape[0]) if within else a.shape[0]
         for i0 in range(0, i_end, tile):
+            r = min(tile, a.shape[0] - i0)
+            # A strided view of a larger tile would slow the GEMM; the product needs a dense one.
+            sims = flat[:r * c].reshape(r, c)
             if within and i0 == j0:
                 # One array times its own transpose goes to syrk, which rounds
                 # unlike gemm: the diagonal tile stays that product.
-                sims = block @ block.T
-                np.copyto(sims, -np.inf, where=np.tri(*sims.shape, dtype=bool))
+                np.matmul(block, block.T, out=sims)
+                np.copyto(sims, -np.inf, where=below[:c, :c])
             else:
-                sims = np.asarray(a[i0:i0 + tile], dtype=np.float64) @ block.T
+                np.copyto(left[:r], a[i0:i0 + r])
+                np.matmul(left[:r], block.T, out=sims)
             yield i0, j0, sims
 
 

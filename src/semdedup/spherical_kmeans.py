@@ -37,6 +37,8 @@ _SMALL_GEMM = 1_000_000
 _GATHER_ROWS = 256
 # Points the seeding races over, at least 4k; see _init_centroids.
 _INIT_SAMPLE_CAP = 16384
+# Lloyd trains on at most this many points per centroid (FAISS's max_points_per_centroid).
+_POINTS_PER_CENTROID = 256
 
 
 def _pass_chunk(k: int) -> int:
@@ -245,14 +247,19 @@ def fit(
 ) -> KMeansModel:
     """Cluster unit embeddings into k clusters.
 
-    Runs at most ``iterations`` rounds of assignment + centroid update,
-    stopping early once assignments no longer change. Each round records the
-    mean cosine of the points to their updated centroids as sum_c S_c . c / n,
-    from the cluster sums S_c the update already holds, so the trace costs no
-    data pass. It never decreases (within 1e-7). The returned centroids are
-    one update ahead of ``assignment`` (the pair the trace scores), so
-    ``assign(e, model.centroids)`` can differ from it when the fit stops at
-    ``iterations``.
+    Lloyd trains on the min(n, 256 k) points with the smallest
+    ``hashed_uniform(seed, _TAG_SUBSAMPLE, id)`` keys, in corpus order; the
+    seeding races over the first ``_INIT_SAMPLE_CAP`` (at least 4k) of the same
+    keys. It runs at most ``iterations`` rounds of assignment + centroid update,
+    stopping early once the sample's assignments no longer change. Each round
+    records the sample's mean cosine to its updated centroids as
+    sum_c S_c . c / m, from the cluster sums S_c the update already holds, so
+    the trace costs no data pass. It never decreases (within 1e-7). A final
+    pass assigns the whole corpus to the returned float32 centroids and repairs
+    empty clusters, so ``assign(e, model.centroids)`` equals ``model.assignment``
+    except for points that repair moved. The pass is skipped when Lloyd
+    converged on the whole corpus: its last assignment already holds for the
+    float64 centroids, which float32 rounding can turn only at a near-tie.
     """
     n = e.n
     if k < 1:
@@ -262,27 +269,41 @@ def fit(
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
 
-    centroids64 = _init_centroids(e.data, e.ids, k, seed, _INIT_SAMPLE_CAP)
+    data, ids = e.data, e.ids
+    m = min(n, _POINTS_PER_CENTROID * k)
+    if m < n:
+        # The Lloyd helpers take bare arrays, so the sample skips re-validation.
+        rows = np.sort(np.argpartition(hashed_uniform(seed, _TAG_SUBSAMPLE, ids), m - 1)[:m])
+        data, ids = data[rows], ids[rows]
+    centroids64 = _init_centroids(data, ids, k, seed, _INIT_SAMPLE_CAP)
     assignment = None
+    converged = False
     trace: list[float] = []
 
     for _ in range(iterations):
-        new_assignment, best_cos = _assign_pass(e.data, centroids64, threads)
-        if assignment is not None and np.array_equal(new_assignment, assignment):
+        new_assignment, best_cos = _assign_pass(data, centroids64, threads)
+        converged = assignment is not None and np.array_equal(new_assignment, assignment)
+        if converged:
             break
         assignment = new_assignment
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
-        _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
+        _repair_empty_clusters(assignment, best_cos, sizes, ids)
 
-        sums = _centroid_sums(e.data, assignment, k, threads)
+        sums = _centroid_sums(data, assignment, k, threads)
         norms = np.linalg.norm(sums, axis=1)
         usable = norms > 1e-12  # an empty cluster's sum is exactly zero
         centroids64[usable] = sums[usable] / norms[usable, None]
 
-        trace.append(float((sums * centroids64).sum()) / n)
+        trace.append(float((sums * centroids64).sum()) / m)
+
+    centroids = centroids64.astype(np.float32)
+    if m < n or not converged:
+        assignment, best_cos = _assign_pass(e.data, centroids.astype(np.float64), threads)
+        sizes = np.bincount(assignment, minlength=k).astype(np.int64)
+        _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
 
     return KMeansModel(
-        centroids=centroids64.astype(np.float32),
+        centroids=centroids,
         assignment=assignment,
         objective_trace=trace,
     )

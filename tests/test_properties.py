@@ -1,6 +1,7 @@
 """Hypothesis properties: dedup invariances, the exact tuner and hostile file headers."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from semdedup.embedding_store import (
     write_embeddings,
 )
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, BracketError, SemDedupError, exit_code_for
-from semdedup.spherical_kmeans import KMeansModel, fit, load_model, save_model
+from semdedup import spherical_kmeans
+from semdedup.spherical_kmeans import KMeansModel, assign, fit, load_model, save_model
 from semdedup.threshold_tuner import sample_clusters, select_epsilon, size_curve, tune_epsilon
 
 # Derandomized, so a run is reproducible; each test still sees many examples.
@@ -73,6 +75,20 @@ def test_keep_flags_invariant_to_thread_count(corpus, strategy, epsilon):
     three = _kept(e, model, strategy, epsilon, threads=3)
     assert np.array_equal(one.keep, three.keep)
     assert np.array_equal(one.per_cluster_removed, three.per_cluster_removed)
+
+
+@PROPERTY
+@given(planted_corpora(), st.sampled_from([1, 3, 256]), st.integers(1, 6), st.integers(0, 96))
+def test_fitted_model_is_a_fixed_point(corpus, per_centroid, iterations, seed):
+    # Few points per centroid force the sampled fit; 256 trains on these small corpora whole.
+    e, model = corpus
+    with mock.patch.object(spherical_kmeans, "_POINTS_PER_CENTROID", per_centroid):
+        model = fit(e, model.k, iterations, seed)
+    reassigned = assign(e, model.centroids)
+    # Off its nearest centroid only if the final repair moved it, alone, into an empty cluster.
+    moved_to = model.assignment[reassigned != model.assignment]
+    assert np.all(model.cluster_sizes()[moved_to] == 1)
+    assert not np.isin(moved_to, reassigned).any()
 
 
 @PROPERTY

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from semdedup import _parallel
+from semdedup import _parallel, spherical_kmeans
 from semdedup._parallel import chunk_ranges, map_ordered
 from semdedup.errors import FormatError, InvalidArgumentError
 from semdedup.spherical_kmeans import (
@@ -19,6 +19,8 @@ from semdedup.spherical_kmeans import (
     nearest_clusters,
     save_model,
 )
+
+from semdedup.rng import hashed_uniform
 
 from conftest import random_unit, unit_rows
 
@@ -72,6 +74,7 @@ def reference_objective(data, centroids64, assignment, threads):
 def reference_fit(e, k, iterations, seed, threads):
     """fit() built on the reference sums and a separate objective pass.
 
+    Lloyd runs on the whole corpus, so ``e`` must hold at most 256 k points.
     Returns the float64 centroids, the assignment, the objective trace and
     the number of empty-cluster repairs.
     """
@@ -89,6 +92,10 @@ def reference_fit(e, k, iterations, seed, threads):
         usable = (counts > 0) & (norms > 1e-12)
         centroids64[usable] = sums[usable] / norms[usable, None]
         trace.append(reference_objective(e.data, centroids64, assignment, threads))
+    # The returned model: the corpus assigned to the float32 centroids, then repaired.
+    assignment, best_cos = _assign_pass(e.data, centroids64.astype(np.float32).astype(np.float64), threads)
+    sizes = np.bincount(assignment, minlength=k).astype(np.int64)
+    repairs += _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
     return centroids64, assignment, trace, repairs
 
 
@@ -329,6 +336,72 @@ def test_permutation_invariance_over_ids(rng):
     unpermuted[perm] = shuffled.assignment
     assert np.array_equal(unpermuted, base.assignment)
     assert np.allclose(shuffled.centroids, base.centroids, atol=1e-5)
+
+
+@pytest.fixture
+def small_sample(monkeypatch):
+    """Train on 20 points per centroid, so a 600-point fit at k = 7 samples 140 rows."""
+    monkeypatch.setattr(spherical_kmeans, "_POINTS_PER_CENTROID", 20)
+
+
+@pytest.fixture
+def init_calls(monkeypatch):
+    """Each call ``fit`` makes to its seeding: the ids Lloyd trains on, and the seeded centroids."""
+    calls = []
+
+    def recorder(data, ids, *args):
+        calls.append((ids.copy(), _init_centroids(data, ids, *args)))
+        return calls[-1][1].copy()
+
+    monkeypatch.setattr(spherical_kmeans, "_init_centroids", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("per_centroid", [256, 20])  # Lloyd on all 600 rows, then on 140
+def test_fitted_model_is_a_fixed_point(per_centroid, monkeypatch):
+    monkeypatch.setattr(spherical_kmeans, "_POINTS_PER_CENTROID", per_centroid)
+    e = random_unit(np.random.default_rng(40), 600, 12)
+    for iterations in (1, 3, 50):  # stopped at the cap, and converged
+        model = fit(e, 7, iterations, seed=2)
+        assert np.array_equal(assign(e, model.centroids), model.assignment)
+
+
+def test_sampled_fit_trains_on_the_keyed_sample(small_sample, init_calls):
+    e = random_unit(np.random.default_rng(41), 600, 12)
+    fit(e, 7, 20, seed=3)
+    keys = hashed_uniform(3, spherical_kmeans._TAG_SUBSAMPLE, e.ids)
+    assert np.array_equal(init_calls[0][0], e.ids[np.sort(np.argsort(keys)[:140])])
+
+
+def test_sampled_fit_equal_across_threads(small_sample):
+    e = random_unit(np.random.default_rng(42), 600, 12)
+    one = fit(e, 7, 4, seed=5, threads=1)
+    three = fit(e, 7, 4, seed=5, threads=3)
+    assert one.centroids.tobytes() == three.centroids.tobytes()
+    assert np.array_equal(one.assignment, three.assignment)
+    assert one.objective_trace == three.objective_trace
+
+
+def test_sampled_fit_training_ids_follow_a_row_permutation(small_sample, init_calls):
+    e = random_unit(np.random.default_rng(43), 600, 12, ids=np.arange(600) * 7 + 3)
+    perm = np.random.default_rng(0).permutation(600)
+    base = fit(e, 7, 20, seed=4)
+    shuffled = fit(unit_rows(e.data[perm], ids=e.ids[perm]), 7, 20, seed=4)
+    (ids, _), (moved_ids, _) = init_calls
+    assert ids.size == 140 and np.array_equal(np.sort(ids), np.sort(moved_ids))
+    unpermuted = np.empty(600, dtype=np.uint32)
+    unpermuted[perm] = shuffled.assignment
+    assert np.array_equal(unpermuted, base.assignment)
+    assert np.allclose(shuffled.centroids, base.centroids, atol=1e-5)
+
+
+def test_sampled_init_races_over_the_first_keys_of_the_corpus(small_sample, init_calls, monkeypatch):
+    # One key order, two cut-offs: the 50 smallest keys of the 140-row sample
+    # are the 50 smallest of the corpus, so seeding is as on the whole corpus.
+    monkeypatch.setattr(spherical_kmeans, "_INIT_SAMPLE_CAP", 50)
+    e = random_unit(np.random.default_rng(44), 600, 12)
+    fit(e, 7, 1, seed=6)
+    assert init_calls[0][1].tobytes() == _init_centroids(e.data, e.ids, 7, 6, 50).tobytes()
 
 
 def test_empty_cluster_repair_keeps_k_clusters():
