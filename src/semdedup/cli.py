@@ -201,7 +201,7 @@ def cmd_cluster(args) -> int:
     model = fit(corpus, cfg.k, cfg.kmeans_iterations, cfg.seed, threads=threads)
     trace = model.objective_trace
     logger.info(
-        "clustered %d points into k=%d: objective %.6f -> %.6f over %d iterations",
+        "clustered %d points into k=%d: training-sample objective %.6f -> %.6f over %d iterations",
         corpus.n, cfg.k, trace[0], trace[-1], len(trace),
     )
     _emit(Path(cfg.output_dir), cfg, {"model.semk": lambda p: save_model(model, p)})

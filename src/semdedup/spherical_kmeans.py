@@ -160,6 +160,19 @@ def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: in
     return sums
 
 
+def _keyed_rows(ids: np.ndarray, seed: int, cap: int) -> np.ndarray:
+    """Rows of the ``cap`` ids with the smallest ``hashed_uniform(seed, _TAG_SUBSAMPLE, id)``
+    keys, in no particular order; every row when ``cap >= len(ids)``.
+
+    Lloyd's training sample and the seeding's race sample are two cut-offs of
+    this one order, so the race sample lies inside the training sample.
+    """
+    n = ids.size
+    if cap >= n:
+        return np.arange(n)
+    return np.argpartition(hashed_uniform(seed, _TAG_SUBSAMPLE, ids), cap - 1)[:cap]
+
+
 def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int, sample_cap: int) -> np.ndarray:
     """Careful-seeding initialization keyed on (seed, id).
 
@@ -171,13 +184,7 @@ def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int, sample
     points with the smallest hash, which keeps init O(cap * k) and
     deterministic.
     """
-    n = data.shape[0]
-    cap = min(n, max(sample_cap, 4 * k))
-    if cap < n:
-        keys = hashed_uniform(seed, _TAG_SUBSAMPLE, ids)
-        positions = np.argpartition(keys, cap - 1)[:cap]
-    else:
-        positions = np.arange(n)
+    positions = _keyed_rows(ids, seed, max(sample_cap, 4 * k))
     # Canonical ascending-id order makes argmin ties resolve to lowest id.
     positions = positions[np.argsort(ids[positions], kind="stable")]
     m, d = positions.size, data.shape[1]
@@ -257,9 +264,7 @@ def fit(
     the trace costs no data pass. It never decreases (within 1e-7). A final
     pass assigns the whole corpus to the returned float32 centroids and repairs
     empty clusters, so ``assign(e, model.centroids)`` equals ``model.assignment``
-    except for points that repair moved. The pass is skipped when Lloyd
-    converged on the whole corpus: its last assignment already holds for the
-    float64 centroids, which float32 rounding can turn only at a near-tie.
+    except for points that repair moved.
     """
     n = e.n
     if k < 1:
@@ -273,17 +278,15 @@ def fit(
     m = min(n, _POINTS_PER_CENTROID * k)
     if m < n:
         # The Lloyd helpers take bare arrays, so the sample skips re-validation.
-        rows = np.sort(np.argpartition(hashed_uniform(seed, _TAG_SUBSAMPLE, ids), m - 1)[:m])
+        rows = np.sort(_keyed_rows(ids, seed, m))
         data, ids = data[rows], ids[rows]
     centroids64 = _init_centroids(data, ids, k, seed, _INIT_SAMPLE_CAP)
     assignment = None
-    converged = False
     trace: list[float] = []
 
     for _ in range(iterations):
         new_assignment, best_cos = _assign_pass(data, centroids64, threads)
-        converged = assignment is not None and np.array_equal(new_assignment, assignment)
-        if converged:
+        if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
@@ -297,10 +300,9 @@ def fit(
         trace.append(float((sums * centroids64).sum()) / m)
 
     centroids = centroids64.astype(np.float32)
-    if m < n or not converged:
-        assignment, best_cos = _assign_pass(e.data, centroids.astype(np.float64), threads)
-        sizes = np.bincount(assignment, minlength=k).astype(np.int64)
-        _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
+    assignment, best_cos = _assign_pass(e.data, centroids.astype(np.float64), threads)
+    sizes = np.bincount(assignment, minlength=k).astype(np.int64)
+    _repair_empty_clusters(assignment, best_cos, sizes, e.ids)
 
     return KMeansModel(
         centroids=centroids,
