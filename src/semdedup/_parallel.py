@@ -18,9 +18,10 @@ call. It sets memory only, never a result, and is not a user option. A
 command's peak memory is then the interpreter, plus one normalized corpus
 (see ``embedding_store``), plus for ``cluster`` the k-means training copy of
 256k * d * 4 bytes when n > 256k and its init sample of
-min(n, 256k, max(16384, 4k)) * d * 8 bytes, plus per worker thread one float64
-similarity tile with its two cast buffers, the budget and the rows of the
-cluster at hand.
+min(n, 256k, max(16384, 4k)) * d * 8 bytes, plus per worker thread the rows of
+the cluster at hand, the budget, and either one float32 prefix-max panel of
+256 * tile * 4 bytes (1 MiB by default) with a boolean mask a quarter its size,
+or, for the metrics, one float64 similarity tile with its two cast buffers.
 """
 
 from __future__ import annotations

@@ -13,9 +13,12 @@ sweeps clusters, and dedup, tuner and sweep threshold its row-aligned result.
 It looks ``order_cluster`` and ``dedup_cluster`` up through this module once
 per cluster of two or more members, so a caller can wrap them to time each
 cluster; that is why ``dedup_cluster`` keeps its name though it returns maxima.
+A pmax is the float64 row-wise dot of the point's winning pair: float32 panel
+GEMMs only screen for candidate winners (``_screen``), and float64 decides
+each value. So pmax depends on neither ``tile`` nor the thread count nor BLAS.
 
-Every pairwise cosine in the package (dedup, tuner and metrics; not the
-independent oracle) comes from one tile generator, ``pair_tiles``. It yields
+The metrics' pairwise cosines (``analysis_metrics``; not the independent
+oracle) come from the float64 tile generator ``pair_tiles``. It yields
 float64 tiles of ``a @ b.T``. Given ``b``, the tiles cover every (row of a,
 row of b) pair. Without ``b`` they cover each unordered pair within ``a`` once,
 as (earlier, later): only tiles with j0 >= i0 are computed, and in a
@@ -39,6 +42,8 @@ from .rng import hash_u64, hashed_uniform
 from .spherical_kmeans import KMeansModel
 
 DEFAULT_TILE = 1024
+# Later points per float32 panel of the prefix-max screen.
+_PANEL = 256
 # Tag separating the RANDOM keep order from other seeded draws.
 _TAG_ORDER = 29
 
@@ -161,12 +166,80 @@ def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_T
             yield i0, j0, sims
 
 
+def _screen_margin(d: int) -> float:
+    """Float32 score gap within which a pair may still hold a float64 maximum.
+
+    2(gamma_d(u32) + 2 u32 + 2 gamma_d(u64)), gamma_d(u) = d u / (1 - d u)
+    (Higham, section 3.1). A float32 dot of two unit rows lies within
+    gamma_d(u32) of the exact one for any summation order, with or without
+    FMA, and the float64 dot within gamma_d(u64); so the float64 winner's
+    float32 score is within twice both bounds of the best score. The 2 u32
+    terms cover norms off 1 by up to UNIT_NORM_TOL (for d below 10^5).
+    """
+    u32, u64 = 2.0**-24, 2.0**-53
+    gamma32, gamma64 = (d * u / (1 - d * u) for u in (u32, u64))
+    return 2 * (gamma32 + 2 * u32 + 2 * gamma64)
+
+
+def _screen(rows: np.ndarray, tile: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(later, earlier)`` row pairs that may hold each later row's float64 prefix maximum.
+
+    Panels of ``_PANEL`` later rows are multiplied in float32 against up to
+    ``tile`` earlier rows at a time, one float32 buffer for the call; entries
+    on and after the diagonal are -inf. A tile row keeps its argmax, or, when
+    other scores lie within the margin of it, every such score. After the
+    sweep a pair survives iff its score is within the margin of the row's
+    best over all tiles. Each cut-off is rounded down, so the pair with the
+    largest float64 dot always survives (see ``_screen_margin``).
+    """
+    m = rows.shape[0]
+    margin = np.nextafter(np.float32(_screen_margin(rows.shape[1])), np.float32(np.inf))
+    flat = np.empty(min(_PANEL, m) * min(tile, m), dtype=np.float32)
+    after = ~np.tri(_PANEL, k=-1, dtype=bool)
+    best = np.full(m, -np.inf, dtype=np.float32)
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float32))]
+    for p0 in range(1, m, _PANEL):
+        p1 = min(p0 + _PANEL, m)
+        for j0 in range(0, p1 - 1, tile):
+            j1 = min(j0 + tile, p1 - 1)
+            # Rows before i0 have no earlier point in this tile.
+            i0 = max(p0, j0 + 1)
+            sims = flat[:(p1 - i0) * (j1 - j0)].reshape(p1 - i0, j1 - j0)
+            np.matmul(rows[i0:p1], rows[j0:j1].T, out=sims)
+            if j1 > i0:  # the tile reaches the panel's own rows
+                c0 = max(j0, i0)
+                np.copyto(sims[:, c0 - j0:], -np.inf, where=after[i0 - p0:p1 - p0, c0 - p0:j1 - p0])
+            arg = sims.argmax(axis=1)
+            top = sims[np.arange(p1 - i0), arg]
+            close = sims >= np.nextafter(top - margin, -np.inf)[:, None]
+            single = np.count_nonzero(close, axis=1) == 1
+            later = np.arange(i0, p1)
+            found.append((later[single], j0 + arg[single], top[single]))
+            multi = np.flatnonzero(~single)
+            if multi.size:
+                r, j = np.nonzero(close[multi])
+                found.append((later[multi[r]], j0 + j, sims[multi[r], j]))
+            seg = best[i0:p1]
+            np.maximum(seg, top, out=seg)
+    later, earlier, score = (np.concatenate(x) for x in zip(*found))
+    keep = score >= np.nextafter(best[later] - margin, -np.inf)
+    return later[keep], earlier[keep]
+
+
 def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAULT_TILE) -> np.ndarray:
-    """Each point's max cosine to the points before it in ``ordered`` (0 for the first)."""
-    prefix = np.zeros(len(ordered), dtype=np.float64)
-    for _, j0, sims in pair_tiles(e.data[ordered], tile=tile):
-        seg = prefix[j0:j0 + sims.shape[1]]
-        np.maximum(seg, sims.max(axis=0), out=seg)
+    """Each point's max cosine to the points before it in ``ordered`` (0 for the first).
+
+    A maximum is the float64 row-wise dot of its winning pair, found by the
+    float32 screen (``_screen``), so it depends on neither ``tile`` nor BLAS.
+    """
+    _check_tile(tile)
+    rows = e.data[ordered]
+    prefix = np.zeros(len(ordered))
+    later, earlier = _screen(rows, tile)
+    for lo, hi in chunk_ranges(later.size, budget_rows(24 * e.d)):
+        dots = np.einsum("ij,ij->i", rows[later[lo:hi]].astype(np.float64),
+                         rows[earlier[lo:hi]].astype(np.float64))
+        np.maximum.at(prefix, later[lo:hi], dots)
     return prefix
 
 
@@ -239,8 +312,7 @@ def write_keep_list(path, ids: np.ndarray) -> None:
     """One kept external id per line, ascending."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for value in np.sort(np.asarray(ids, dtype=np.uint64)):
-            fh.write(f"{int(value)}\n")
+        fh.write("".join(f"{value}\n" for value in np.sort(np.asarray(ids, dtype=np.uint64)).tolist()))
 
 
 def read_keep_list(path) -> np.ndarray:

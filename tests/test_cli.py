@@ -432,6 +432,7 @@ def test_dedup_target_fraction_sweeps_each_cluster_once(tmp_path, step_corpus_fi
     for name in calls:
         monkeypatch.setattr(dedup_core, name, counted(name))
     # Every cluster is sampled, so a separate tuning pass would sweep each one twice.
+    # The sweep is dedup_cluster alone: pmax needs no float64 tile.
     assert main([
         "dedup", "--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
         "--target-fraction", "0.9", "--sample-fraction", "1.0", "--eps-lo", "0.001",
@@ -439,7 +440,7 @@ def test_dedup_target_fraction_sweeps_each_cluster_once(tmp_path, step_corpus_fi
     ]) == 0
     multi = int(np.count_nonzero(load_model(outdir / "model.semk").cluster_sizes() >= 2))
     assert multi >= 2
-    assert calls == {"dedup_cluster": multi, "pair_tiles": multi}
+    assert calls == {"dedup_cluster": multi, "pair_tiles": 0}
 
 
 def test_tune_subcommand_writes_curve(tmp_path, step_corpus_file):

@@ -123,24 +123,79 @@ def test_dedup_cluster_chain_blocks_transitively():
 
 
 def test_dedup_cluster_tiling_invariant(rng):
-    # BLAS sums a dot product in an order that depends on the tile shape, so a
-    # maximum may move by the float64 rounding bound 2*gamma_d (Higham, section 3.1).
+    # Each maximum is the float64 row-wise dot of its winning pair, so no tile
+    # shape, BLAS blocking or summation order shows in it.
     d = 8
-    gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
     for trial in range(10):
         local = np.random.default_rng(trial)
         n = int(local.integers(2, 300))
         e = random_unit(local, n, d)
         ordered = local.permutation(n)
-        eps = float(local.uniform(0.05, 0.8))
         baseline = None
         for tile in (1, 3, 17, 128, 4096):
             maxima = dedup_cluster(e, ordered, tile=tile)
             if baseline is None:
                 baseline = maxima
             else:
-                assert np.all(np.abs(maxima - baseline) <= 2 * gamma)
-                assert np.array_equal(maxima <= 1 - eps, baseline <= 1 - eps)
+                assert np.array_equal(maxima, baseline)
+
+
+def brute_prefix_maxima(rows):
+    """max(0, the largest row-wise float64 dot to an earlier row), one point at a time."""
+    wide = rows.astype(np.float64)
+    out = np.zeros(len(rows))
+    for i in range(1, len(rows)):
+        out[i] = max(0.0, np.einsum("ij,ij->i", wide[np.full(i, i)], wide[:i]).max())
+    return out
+
+
+def near_tie_rows(triples=120, d=256, copies=40):
+    """Rows a, b, x per triple, then exact copies of earlier rows.
+
+    b is a with 32 coordinates moved by up to 8 float32 ulps, so x's float32
+    scores to a and b lie within the screen margin, often in the order
+    opposite to their float64 dots.
+    """
+    local = np.random.default_rng(0)
+    rows = []
+    for _ in range(triples):
+        x = local.standard_normal(d)
+        x /= np.linalg.norm(x)
+        a = x + 0.02 * local.standard_normal(d)
+        a = (a / np.linalg.norm(a)).astype(np.float32)
+        b = a.copy()
+        k = local.choice(d, 32, replace=False)
+        b[k] += (local.integers(-8, 9, 32) * np.spacing(np.abs(a[k]))).astype(np.float32)
+        rows += [a, b, x.astype(np.float32)]
+    rows = np.array(rows)
+    return np.vstack([rows, rows[local.integers(0, len(rows), copies)]])
+
+
+def test_dedup_cluster_equals_brute_force_on_near_ties():
+    triples = 120
+    rows = near_tie_rows(triples)
+    a, b, x = rows[:3 * triples].reshape(triples, 3, -1).transpose(1, 0, 2)
+    score_a, score_b = (np.einsum("ij,ij->i", x, y) for y in (a, b))
+    dot_a, dot_b = (np.einsum("ij,ij->i", x.astype(np.float64), y.astype(np.float64)) for y in (a, b))
+    # Planted as stated: every pair within the margin, and some in the opposite float64 order.
+    assert np.all(np.abs(score_a - score_b) <= dedup_core._screen_margin(rows.shape[1]))
+    assert np.count_nonzero((score_a - score_b) * (dot_a - dot_b) < 0) >= 1
+    e = UnitEmbeddingMatrix(rows, np.arange(len(rows), dtype=np.uint64))
+    want = brute_prefix_maxima(rows)
+    for tile in (1, 17, 300, 1024):
+        assert np.array_equal(dedup_cluster(e, np.arange(len(rows)), tile=tile), want)
+
+
+def test_screen_sends_one_pair_per_point_to_float64(rng):
+    # Without near ties only each point's float32 winner survives the final
+    # cut, even at tile 1, where every earlier point is its own tile's argmax.
+    e = random_unit(rng, 200, 16)
+    wide = e.data.astype(np.float64)
+    winners = [int(np.argmax(wide[:i] @ wide[i])) for i in range(1, 200)]
+    for tile in (1, 17, 1024):
+        later, earlier = dedup_core._screen(e.data, tile)
+        assert np.array_equal(np.sort(later), np.arange(1, 200))
+        assert np.array_equal(earlier[np.argsort(later)], winners)
 
 
 def test_pair_tiles_cover_each_pair_once():

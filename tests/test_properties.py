@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, kept_ids, prefix_maxima
+from semdedup import _parallel
+from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, kept_ids, prefix_maxima, threshold
 from semdedup.embedding_store import (
     EmbeddingMatrix,
     UnitEmbeddingMatrix,
@@ -75,6 +76,44 @@ def test_keep_flags_invariant_to_thread_count(corpus, strategy, epsilon):
     three = _kept(e, model, strategy, epsilon, threads=3)
     assert np.array_equal(one.keep, three.keep)
     assert np.array_equal(one.per_cluster_removed, three.per_cluster_removed)
+
+
+@st.composite
+def threshold_corpora(draw):
+    """A corpus with exact copies and near copies planted at cosine 1 - epsilon, its model and epsilon."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_base = draw(st.integers(1, 40))
+    d = draw(st.integers(2, 24))
+    epsilon = draw(st.floats(0.01, 0.5))
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n_base, d))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    tangent = rng.standard_normal((n_base, d))
+    tangent -= (tangent * base).sum(axis=1, keepdims=True) * base
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    near = (1 - epsilon) * base + np.sqrt(epsilon * (2 - epsilon)) * tangent
+    data = np.vstack([base, near, base[rng.integers(0, n_base, draw(st.integers(0, 20)))]])
+    data = data[rng.permutation(data.shape[0])]
+    e = normalize_rows(EmbeddingMatrix(data.astype(np.float32)))
+    return e, fit(e, min(draw(st.integers(1, 4)), e.n), 5, seed=seed % 97), epsilon
+
+
+@PROPERTY
+@given(threshold_corpora(), st.sampled_from(STRATEGIES), st.integers(-3, 3))
+def test_prefix_maxima_ignore_tile_threads_and_budget(corpus, strategy, ulps):
+    e, model, epsilon = corpus
+    want = prefix_maxima(e, model, strategy, 3)
+    # An epsilon whose threshold lies a few ulps from the planted maximum nearest 1 - epsilon.
+    near = want[np.argmin(np.abs(want - (1 - epsilon)))]
+    at_near = 1 - (near + ulps * np.spacing(near))
+    got = [prefix_maxima(e, model, strategy, 3, tile, threads)
+           for tile in (1, 3, 17, 128, 1024) for threads in (1, 2)]
+    with mock.patch.object(_parallel, "SCRATCH_BYTES", 1):
+        got.append(prefix_maxima(e, model, strategy, 3, threads=2))
+    for pmax in got:
+        assert np.array_equal(pmax, want)
+        if 0 < at_near < 1:
+            assert np.array_equal(threshold(pmax, at_near, model).keep, threshold(want, at_near, model).keep)
 
 
 @PROPERTY
