@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from semdedup import dedup_core
+from semdedup import _parallel, dedup_core
 from semdedup.analysis_metrics import dedup_efficiency, within_cluster_pass
 from semdedup.dedup_core import (
     DedupConfig,
@@ -188,14 +190,35 @@ def test_dedup_cluster_equals_brute_force_on_near_ties():
 
 def test_screen_sends_one_pair_per_point_to_float64(rng):
     # Without near ties only each point's float32 winner survives the final
-    # cut, even at tile 1, where every earlier point is its own tile's argmax.
+    # cut, even at tile 1, where a point's best so far rises tile after tile.
     e = random_unit(rng, 200, 16)
     wide = e.data.astype(np.float64)
     winners = [int(np.argmax(wide[:i] @ wide[i])) for i in range(1, 200)]
     for tile in (1, 17, 1024):
-        later, earlier = dedup_core._screen(e.data, tile)
+        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, tile)))
         assert np.array_equal(np.sort(later), np.arange(1, 200))
         assert np.array_equal(earlier[np.argsort(later)], winners)
+
+
+def test_screen_holds_one_panel_of_candidates(rng):
+    # A small tile on a few-thousand-point cluster: each panel yields about one
+    # pair per own row, and the candidates held at once never outgrow one panel.
+    m, panel = 3000, dedup_core._PANEL
+    e = random_unit(rng, m, 16)
+    tracemalloc.start()
+    try:
+        sizes = []
+        for p, (later, earlier) in enumerate(dedup_core._screen(e.data, 4)):
+            p0 = 1 + p * panel
+            assert np.array_equal(np.unique(later), np.arange(p0, min(p0 + panel, m)))
+            assert np.all(earlier < later)
+            sizes.append(later.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m - 1 <= sum(sizes) <= 1.01 * (m - 1)
+    # Holding every tile's argmax until the end would take m * m / 4 pairs of 20 bytes.
+    assert peak < 2 << 20
 
 
 def test_pair_tiles_cover_each_pair_once():
@@ -424,6 +447,16 @@ def test_keep_list_round_trip(tmp_path, rng):
     path = tmp_path / "keep.txt"
     write_keep_list(path, ids)
     assert np.array_equal(read_keep_list(path), ids)
+
+
+def test_keep_list_bytes_ignore_budget(tmp_path, monkeypatch):
+    # The list is written in budget-sized chunks; the bytes must not show them.
+    ids = np.array([2**64 - 1, 0, 7, 10**12, 5], dtype=np.uint64)
+    want = "".join(f"{v}\n" for v in sorted(int(v) for v in ids))
+    for budget in (1, 64, 2 << 20):
+        monkeypatch.setattr(_parallel, "SCRATCH_BYTES", budget)
+        write_keep_list(tmp_path / "keep.txt", ids)
+        assert (tmp_path / "keep.txt").read_text(encoding="utf-8") == want
 
 
 def test_summary_dict_schema(rng):
