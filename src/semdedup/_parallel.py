@@ -19,11 +19,11 @@ command's peak memory is then the interpreter, plus one normalized corpus
 (see ``embedding_store``), plus for ``cluster`` the k-means training copy of
 256k * d * 4 bytes when n > 256k and its init sample of
 min(n, 256k, max(16384, 4k)) * d * 8 bytes, plus per worker thread the rows of
-the cluster at hand, the budget, and either one float32 prefix-max panel of
-256 * tile * 4 bytes (1 MiB by default) with a boolean mask a quarter its size
-and that panel's candidate pairs (20 bytes each, about 1.2 per point; a point
-with c exact copies before it has c), or, for the metrics, one float64
-similarity tile with its two cast buffers.
+the cluster at hand, the budget, and one similarity panel of 256 * tile
+entries with a 64 KiB mask: float32 (1 MiB by default) for the prefix maxima,
+with that panel's candidate pairs (20 bytes each, about 1.2 per point; a point
+with c exact copies before it has c), or float64 (2 MiB) for the metrics, with
+float64 casts of at most 256 and at most tile rows.
 """
 
 from __future__ import annotations

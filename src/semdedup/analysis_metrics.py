@@ -11,7 +11,8 @@ The histogram and nmax, each point's largest cosine to another member of
 its cluster, come from one sweep of every cluster's pairs,
 ``within_cluster_pass``. nmax does not depend on epsilon, and the incidence
 at any epsilon thresholds it (``incidence_at``). The detection efficiency
-counts its own pairs, within and across clusters.
+counts its own pairs, within and across clusters. Every cosine is a float64
+entry of the similarity kernel ``dedup_core._panels``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from ._parallel import budget_rows, chunk_ranges, map_ordered
-from .dedup_core import DEFAULT_TILE, pair_tiles
+from .dedup_core import DEFAULT_TILE, _panels
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
 from .spherical_kmeans import KMeansModel, nearest_clusters
@@ -65,7 +66,7 @@ def within_cluster_pass(
 
     The counts are those of ``similarity_histogram``. A point's nmax is its
     largest float64 cosine to another member of its cluster, -inf for a
-    singleton; it is the row and column maximum of the cluster's tiles.
+    singleton; it is the row and column maximum of the cluster's panels.
     """
     if bins < 2:
         raise InvalidArgumentError("bins must be >= 2")
@@ -76,7 +77,7 @@ def within_cluster_pass(
         members = model.members[c]
         counts = np.zeros(bins, dtype=np.int64)
         near = np.full(members.size, -np.inf)
-        for i0, j0, sims in pair_tiles(e.data[members], tile=tile):
+        for i0, j0, sims in _panels(e.data[members], tile=tile, dtype=np.float64):
             # About four float64 temporaries per cosine while binning.
             for lo, hi in chunk_ranges(sims.shape[0], budget_rows(32 * sims.shape[1])):
                 block = sims[lo:hi]
@@ -144,7 +145,8 @@ def intersection_pct(keep_a: Iterable[int], keep_b: Iterable[int], n: int) -> fl
 
 def _count_pairs(a: np.ndarray, b: np.ndarray | None, threshold: float, tile: int) -> int:
     """Pairs at cosine >= threshold: unordered within ``a`` if ``b`` is None, else a x b."""
-    return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in pair_tiles(a, b, tile))
+    panels = _panels(a, b, tile=tile, dtype=np.float64)
+    return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in panels)
 
 
 def dedup_efficiency(

@@ -17,14 +17,15 @@ A pmax is the float64 row-wise dot of the point's winning pair: float32 panel
 GEMMs only screen for candidate winners (``_screen``), and float64 decides
 each value. So pmax depends on neither ``tile`` nor the thread count nor BLAS.
 
-The metrics' pairwise cosines (``analysis_metrics``; not the independent
-oracle) come from the float64 tile generator ``pair_tiles``. It yields
-float64 tiles of ``a @ b.T``. Given ``b``, the tiles cover every (row of a,
-row of b) pair. Without ``b`` they cover each unordered pair within ``a`` once,
-as (earlier, later): only tiles with j0 >= i0 are computed, and in a
-diagonal tile the entries on and below the diagonal are -inf. ``tile``
-changes speed and memory, and a cosine only within float64 rounding. Rows are
-cast to float64 one tile at a time, so a caller passes float32 rows as they are.
+Every similarity product here and in ``analysis_metrics`` (not the oracle)
+comes from one kernel, ``_panels``: panels of at most 256 rows of ``a``
+against at most ``tile`` rows of ``b``, each one ``gemm`` in the dtype the
+caller passes (float32 for the screen, float64 for the metrics). Given ``b``
+they cover every (row of a, row of b) pair once; without it, each unordered
+pair within ``a`` once, as (later, earlier), with entries on or after the
+diagonal -inf. Rows of another dtype are cast a panel or block at a time into
+buffers made once per call. ``tile`` changes speed and memory, and a cosine
+only within rounding.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .rng import hash_u64, hashed_uniform
 from .spherical_kmeans import KMeansModel
 
 DEFAULT_TILE = 1024
-# Later points per float32 panel of the prefix-max screen.
+# Rows of ``a`` per panel of the similarity kernel ``_panels``.
 _PANEL = 256
 # Tag separating the RANDOM keep order from other seeded draws.
 _TAG_ORDER = 29
@@ -133,36 +134,38 @@ def order_cluster(
     return members[np.lexsort((ids, key))]
 
 
-def pair_tiles(a: np.ndarray, b: np.ndarray | None = None, tile: int = DEFAULT_TILE):
-    """Yield ``(i0, j0, sims)``: float64 tiles of ``a @ b.T`` (see module docstring).
+def _panels(a: np.ndarray, b: np.ndarray | None = None, *, tile: int, dtype: type):
+    """Yield ``(i0, j0, sims)``: ``dtype`` panels of ``a @ b.T`` (see module docstring).
 
-    Every tile is written into one buffer, so a yielded tile is valid until
-    the next one is requested.
+    All panels share one buffer, so a yielded panel is valid until the next is requested.
     """
     _check_tile(tile)
     within = b is None
     cols = a if within else b
-    rows_max, cols_max = min(tile, a.shape[0]), min(tile, cols.shape[0])
-    left, right = np.empty((rows_max, a.shape[1])), np.empty((cols_max, a.shape[1]))
-    flat = np.empty(rows_max * cols_max)
-    below = np.tri(cols_max, dtype=bool) if within else None
-    for j0 in range(0, cols.shape[0], tile):
-        c = min(tile, cols.shape[0] - j0)
-        block = right[:c]
-        np.copyto(block, cols[j0:j0 + c])
-        i_end = min(j0 + tile, a.shape[0]) if within else a.shape[0]
-        for i0 in range(0, i_end, tile):
-            r = min(tile, a.shape[0] - i0)
-            # A strided view of a larger tile would slow the GEMM; the product needs a dense one.
-            sims = flat[:r * c].reshape(r, c)
-            if within and i0 == j0:
-                # One array times its own transpose goes to syrk, which rounds
-                # unlike gemm: the diagonal tile stays that product.
-                np.matmul(block, block.T, out=sims)
-                np.copyto(sims, -np.inf, where=below[:c, :c])
-            else:
-                np.copyto(left[:r], a[i0:i0 + r])
-                np.matmul(left[:r], block.T, out=sims)
+    m, n = a.shape[0], cols.shape[0]
+    flat = np.empty(min(_PANEL, m) * min(tile, n), dtype=dtype)
+    left = np.empty((min(_PANEL, m), a.shape[1]), dtype=dtype) if a.dtype != dtype else None
+    right = np.empty((min(tile, n), a.shape[1]), dtype=dtype) if cols.dtype != dtype else None
+    after = ~np.tri(_PANEL, k=-1, dtype=bool)
+    # Within ``a``, row 0 has no earlier row and a panel's columns stop before its last row.
+    for p0 in range(int(within), m, _PANEL):
+        p1 = min(p0 + _PANEL, m)
+        panel = a[p0:p1]
+        if left is not None:
+            panel = left[:p1 - p0]
+            np.copyto(panel, a[p0:p1])
+        for j0, j1 in chunk_ranges(p1 - 1 if within else n, tile):
+            block = cols[j0:j1]
+            if right is not None:
+                block = right[:j1 - j0]
+                np.copyto(block, cols[j0:j1])
+            # Within ``a``, rows before i0 have no earlier column in this block.
+            i0 = max(p0, j0 + 1) if within else p0
+            sims = flat[:(p1 - i0) * (j1 - j0)].reshape(p1 - i0, j1 - j0)
+            np.matmul(panel[i0 - p0:], block.T, out=sims)
+            if within and j1 > i0:  # the block reaches the panel's own rows
+                c0 = max(j0, i0)
+                np.copyto(sims[:, c0 - j0:], -np.inf, where=after[i0 - p0:p1 - p0, c0 - p0:j1 - p0])
             yield i0, j0, sims
 
 
@@ -184,41 +187,27 @@ def _screen_margin(d: int) -> float:
 def _screen(rows: np.ndarray, tile: int):
     """Per panel, the ``(later, earlier)`` row pairs that may hold a later row's float64 maximum.
 
-    Panels of ``_PANEL`` later rows are multiplied in float32 against up to
-    ``tile`` earlier rows at a time, one float32 buffer for the call; entries
-    on and after the diagonal are -inf. A tile keeps every score within the
-    margin of its row's best so far. Once the panel has met all its earlier
-    rows that best is final, and a pair is yielded iff its score is within
-    the margin of it. Each cut-off is rounded down, so the pair with the
-    largest float64 dot always survives (see ``_screen_margin``). Only one
-    panel's candidates are held at a time.
+    Each float32 block of ``_panels`` keeps every score within the margin of
+    its row's best so far. After a panel's last block that best is final, and
+    only pairs within the margin of it are yielded, so one panel's candidates
+    are held at a time. Each cut-off is rounded down, so the pair with the
+    largest float64 dot always survives (see ``_screen_margin``).
     """
-    m = rows.shape[0]
     margin = np.nextafter(np.float32(_screen_margin(rows.shape[1])), np.float32(np.inf))
-    flat = np.empty(min(_PANEL, m) * min(tile, m), dtype=np.float32)
-    after = ~np.tri(_PANEL, k=-1, dtype=bool)
-    for p0 in range(1, m, _PANEL):
-        p1 = min(p0 + _PANEL, m)
-        best = np.full(p1 - p0, -np.inf, dtype=np.float32)
-        found = []
-        for j0 in range(0, p1 - 1, tile):
-            j1 = min(j0 + tile, p1 - 1)
-            # Rows before i0 have no earlier point in this tile.
-            i0 = max(p0, j0 + 1)
-            sims = flat[:(p1 - i0) * (j1 - j0)].reshape(p1 - i0, j1 - j0)
-            np.matmul(rows[i0:p1], rows[j0:j1].T, out=sims)
-            if j1 > i0:  # the tile reaches the panel's own rows
-                c0 = max(j0, i0)
-                np.copyto(sims[:, c0 - j0:], -np.inf, where=after[i0 - p0:p1 - p0, c0 - p0:j1 - p0])
-            seg = best[i0 - p0:]
-            np.maximum(seg, sims.max(axis=1), out=seg)
-            # flatnonzero: a 2-D nonzero takes about 15 times as long here.
-            hit = np.flatnonzero(sims >= np.nextafter(seg - margin, -np.inf)[:, None])
-            r, j = np.divmod(hit, j1 - j0)
-            found.append((i0 + r, j0 + j, sims.ravel()[hit]))
-        later, earlier, score = (np.concatenate(x) for x in zip(*found))
-        keep = score >= np.nextafter(best[later - p0] - margin, -np.inf)
-        yield later[keep], earlier[keep]
+    for i0, j0, sims in _panels(rows, tile=tile, dtype=np.float32):
+        r, c = sims.shape
+        if j0 == 0:  # a panel's first block, which holds all its rows
+            p0, best, found = i0, np.full(r, -np.inf, dtype=np.float32), []
+        seg = best[i0 - p0:]
+        np.maximum(seg, sims.max(axis=1), out=seg)
+        # flatnonzero: a 2-D nonzero takes about 15 times as long here.
+        hit = np.flatnonzero(sims >= np.nextafter(seg - margin, -np.inf)[:, None])
+        i, j = np.divmod(hit, c)
+        found.append((i0 + i, j0 + j, sims.ravel()[hit]))
+        if j0 + c == i0 + r - 1:  # the panel's last block ends just before its last row
+            later, earlier, score = (np.concatenate(x) for x in zip(*found))
+            keep = score >= np.nextafter(best[later - p0] - margin, -np.inf)
+            yield later[keep], earlier[keep]
 
 
 def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAULT_TILE) -> np.ndarray:
@@ -227,7 +216,6 @@ def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAU
     A maximum is the float64 row-wise dot of its winning pair, found by the
     float32 screen (``_screen``), so it depends on neither ``tile`` nor BLAS.
     """
-    _check_tile(tile)
     rows = e.data[ordered]
     prefix = np.zeros(len(ordered))
     for later, earlier in _screen(rows, tile):
@@ -273,10 +261,17 @@ def prefix_maxima(
     return pmax
 
 
+def _check_row_aligned(pmax: np.ndarray, model: KMeansModel) -> None:
+    """Raise InvalidArgumentError unless ``pmax`` holds one value per row of ``model``."""
+    if np.shape(pmax) != (model.n,):
+        raise InvalidArgumentError(f"pmax has shape {np.shape(pmax)}, not the model's ({model.n},)")
+
+
 def threshold(pmax: np.ndarray, epsilon: float, model: KMeansModel) -> DedupResult:
     """Greedy verdicts at epsilon from row-aligned prefix maxima."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_row_aligned(pmax, model)
     keep = pmax <= 1.0 - epsilon
     sizes = model.cluster_sizes()
     return DedupResult(

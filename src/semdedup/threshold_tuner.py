@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup_core import DEFAULT_TILE, KeepStrategy, prefix_maxima
+from .dedup_core import DEFAULT_TILE, KeepStrategy, _check_row_aligned, prefix_maxima
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import BracketError, InvalidArgumentError
 from .rng import hashed_uniform
@@ -78,6 +78,7 @@ def sample_clusters(model: KMeansModel, fraction: float, seed: int) -> np.ndarra
 
 def sorted_maxima(pmax: np.ndarray, model: KMeansModel, sample: np.ndarray) -> np.ndarray:
     """Sorted entries of row-aligned ``pmax`` for the points of the sampled clusters."""
+    _check_row_aligned(pmax, model)
     maxima = np.sort(pmax[np.isin(model.assignment, sample)])
     if maxima.size == 0:
         raise InvalidArgumentError("sampled clusters contain no points")

@@ -12,11 +12,11 @@ from semdedup.analysis_metrics import (
     similarity_histogram,
     within_cluster_pass,
 )
-from semdedup.dedup_core import DedupConfig, dedup_dataset
+from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, prefix_maxima
 from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import brute_force_duplicate_pairs, generate_planted
 from semdedup.embedding_store import normalize_rows
-from semdedup.spherical_kmeans import KMeansModel, fit
+from semdedup.spherical_kmeans import KMeansModel, fit, load_model, save_model
 
 from conftest import exact_step_pairs, fixed_band_groups, random_unit, single_cluster_model, unit_rows
 
@@ -51,23 +51,27 @@ def test_histogram_edges():
 
 
 def test_histogram_total_and_bins_match_recount(rng):
-    e = random_unit(rng, 200, 8)
-    model = fit(e, 5, 10, seed=0)
-    bins = 32
-    counts = similarity_histogram(e, model, bins=bins, tile=17)
-    sizes = model.cluster_sizes()
-    assert int(counts.sum()) == int(sum(s * (s - 1) // 2 for s in sizes))
+    # The second corpus has clusters of more than one 256-row panel.
+    for e, k, smallest in ((random_unit(rng, 200, 8), 5, 2), (random_unit(rng, 700, 8), 2, 258)):
+        model = fit(e, k, 10, seed=0)
+        assert model.cluster_sizes().min() >= smallest
+        bins = 32
+        counts, nmax = within_cluster_pass(e, model, bins=bins, tile=17)
+        sizes = model.cluster_sizes()
+        assert int(counts.sum()) == int(sum(s * (s - 1) // 2 for s in sizes))
 
-    # Direct full-matrix recount per cluster.
-    expected = np.zeros(bins, dtype=np.int64)
-    for c in range(model.k):
-        members = model.members[c]
-        rows = e.data[members].astype(np.float64)
-        sims = rows @ rows.T
-        iu = np.triu_indices(members.size, k=1)
-        idx = np.clip(np.floor((sims[iu] + 1.0) * (bins / 2.0)).astype(np.int64), 0, bins - 1)
-        expected += np.bincount(idx, minlength=bins)
-    assert np.array_equal(counts.astype(np.int64), expected)
+        # Direct full-matrix recount per cluster.
+        expected = np.zeros(bins, dtype=np.int64)
+        for c in range(model.k):
+            members = model.members[c]
+            rows = e.data[members].astype(np.float64)
+            sims = rows @ rows.T
+            iu = np.triu_indices(members.size, k=1)
+            idx = np.clip(np.floor((sims[iu] + 1.0) * (bins / 2.0)).astype(np.int64), 0, bins - 1)
+            expected += np.bincount(idx, minlength=bins)
+            np.fill_diagonal(sims, -np.inf)
+            assert np.allclose(nmax[members], sims.max(axis=1), rtol=0, atol=1e-12)
+        assert np.array_equal(counts.astype(np.int64), expected)
 
 
 def test_histogram_requires_two_bins(rng):
@@ -139,33 +143,57 @@ def test_incidence_matches_brute_force_pairs(rng):
 
 
 def test_metrics_tiling_invariant():
-    e = random_unit(np.random.default_rng(11), 150, 6)
-    model = fit(e, 5, 10, seed=11)
-    eps = 0.1
-    results = []
-    for tile in (1, 3, 17, 128, 4096):
-        results.append((
-            similarity_histogram(e, model, bins=64, tile=tile).tolist(),
-            duplicate_incidence(e, model, eps, tile=tile),
-            dedup_efficiency(e, model, eps, m_neighbors=2, tile=tile),
-        ))
-    assert 0.0 < results[0][1] < 1.0
-    assert results[0][2] < 100.0  # some threshold pairs cross clusters
-    assert all(r == results[0] for r in results[1:])
+    # The 700-point corpus has clusters of more than one 256-row panel.
+    for n, d, k, m, eps in ((150, 6, 5, 2, 0.1), (700, 8, 2, 1, 0.3)):
+        e = random_unit(np.random.default_rng(11), n, d)
+        model = fit(e, k, 10, seed=11)
+        results = []
+        for tile in (1, 3, 17, 128, 4096):
+            results.append((
+                similarity_histogram(e, model, bins=64, tile=tile).tolist(),
+                duplicate_incidence(e, model, eps, tile=tile),
+                dedup_efficiency(e, model, eps, m_neighbors=m, tile=tile),
+            ))
+        assert 0.0 < results[0][1] < 1.0
+        assert results[0][2] < 100.0  # some threshold pairs cross clusters
+        assert all(r == results[0] for r in results[1:])
 
 
 def test_pair_counts_match_full_matrix():
     local = np.random.default_rng(21)
-    a = random_unit(local, 41, 4).data
-    b = random_unit(local, 29, 4).data
-    a64, b64 = a.astype(np.float64), b.astype(np.float64)
-    thr = 0.6
-    within = int(np.count_nonzero(np.triu(a64 @ a64.T >= thr, k=1)))
-    across = int(np.count_nonzero(a64 @ b64.T >= thr))
-    assert within > 0 and across > 0
-    for tile in (1, 3, 17, 128):
-        assert _count_pairs(a, None, thr, tile) == within
-        assert _count_pairs(a, b, thr, tile) == across
+    for rows_a, rows_b in ((41, 29), (700, 300)):  # the second spans three 256-row panels
+        a = random_unit(local, rows_a, 4).data
+        b = random_unit(local, rows_b, 4).data
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        thr = 0.6
+        within = int(np.count_nonzero(np.triu(a64 @ a64.T >= thr, k=1)))
+        across = int(np.count_nonzero(a64 @ b64.T >= thr))
+        assert within > 0 and across > 0
+        for tile in (1, 3, 17, 128):
+            assert _count_pairs(a, None, thr, tile) == within
+            assert _count_pairs(a, b, thr, tile) == across
+
+
+def test_empty_cluster_of_a_loaded_model_adds_nothing(tmp_path, rng):
+    # A saved model may hold a cluster with no members; each pass skips it
+    # and otherwise agrees with the model without it.
+    e = random_unit(rng, 700, 8)
+    compact = two_cluster_model(e, split=400)
+    path = tmp_path / "model.semk"
+    save_model(KMeansModel(
+        centroids=np.vstack([compact.centroids[0], np.eye(e.d)[0], compact.centroids[1]]),
+        assignment=np.where(compact.assignment == 0, 0, 2),
+    ), path)
+    loaded = load_model(path)
+    assert loaded.cluster_sizes().tolist() == [400, 0, 300]
+    for got, want in zip(within_cluster_pass(e, loaded, bins=32, tile=100),
+                         within_cluster_pass(e, compact, bins=32, tile=100)):
+        assert np.array_equal(got, want)
+    # m = 2 lists every other cluster, as m = 1 does for the compact model.
+    eta = dedup_efficiency(e, compact, 0.4, m_neighbors=1)
+    assert dedup_efficiency(e, loaded, 0.4, m_neighbors=2) == eta
+    low = KeepStrategy.LOW_CENTROID_SIM
+    assert np.array_equal(prefix_maxima(e, loaded, low, 0), prefix_maxima(e, compact, low, 0))
 
 
 def test_intersection_identity_and_disjoint():

@@ -156,7 +156,7 @@ def test_intersect_malformed_keep_list_exit_format(tmp_path):
         assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
 
 
-def counting(monkeypatch, module, name="pair_tiles"):
+def counting(monkeypatch, module, name="_panels"):
     """Count calls through ``module.name``; the returned list holds the count."""
     calls = [0]
     original = getattr(module, name)
@@ -419,20 +419,16 @@ def test_dedup_with_target_fraction_tunes(tmp_path, step_corpus_file):
 def test_dedup_target_fraction_sweeps_each_cluster_once(tmp_path, step_corpus_file, monkeypatch):
     outdir = tmp_path / "run"
     assert run_cluster(step_corpus_file, outdir) == 0
-    calls = {"dedup_cluster": 0, "pair_tiles": 0}
+    sweeps = counting(monkeypatch, dedup_core, "dedup_cluster")
+    dtypes = []
+    panels = dedup_core._panels
 
-    def counted(name):
-        original = getattr(dedup_core, name)
+    def recorded(*args, **kwargs):
+        dtypes.append(kwargs["dtype"])
+        return panels(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(dedup_core, name, counted(name))
+    monkeypatch.setattr(dedup_core, "_panels", recorded)
     # Every cluster is sampled, so a separate tuning pass would sweep each one twice.
-    # The sweep is dedup_cluster alone: pmax needs no float64 tile.
     assert main([
         "dedup", "--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
         "--target-fraction", "0.9", "--sample-fraction", "1.0", "--eps-lo", "0.001",
@@ -440,7 +436,9 @@ def test_dedup_target_fraction_sweeps_each_cluster_once(tmp_path, step_corpus_fi
     ]) == 0
     multi = int(np.count_nonzero(load_model(outdir / "model.semk").cluster_sizes() >= 2))
     assert multi >= 2
-    assert calls == {"dedup_cluster": multi, "pair_tiles": 0}
+    assert sweeps == [multi]
+    # One float32 screen per sweep: pmax needs no float64 panel.
+    assert dtypes == [np.float32] * multi
 
 
 def test_tune_subcommand_writes_curve(tmp_path, step_corpus_file):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from semdedup.dedup_core import (
     dedup_dataset,
     kept_ids,
     order_cluster,
-    pair_tiles,
     prefix_maxima,
+    threshold,
     read_keep_list,
     summary_dict,
     write_keep_list,
@@ -22,7 +23,7 @@ from semdedup.dedup_core import (
 from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
-from semdedup.threshold_tuner import size_curve
+from semdedup.threshold_tuner import size_curve, sorted_maxima
 from semdedup.embedding_store import UnitEmbeddingMatrix, normalize_rows
 
 from conftest import random_unit, single_cluster_model, unit_rows
@@ -221,47 +222,59 @@ def test_screen_holds_one_panel_of_candidates(rng):
     assert peak < 2 << 20
 
 
-def test_pair_tiles_cover_each_pair_once():
+# Row counts either side of one and two panels (a panel within ``a`` starts at row 1), and tiles.
+KERNEL_ROWS = (0, 1, 2, 255, 256, 257, 258, 600)
+KERNEL_TILES = (1, 3, 17, 256, 1024)
+KERNEL_DTYPES = (np.float32, np.float64)
+
+
+def test_panels_cover_each_pair_once():
     local = np.random.default_rng(3)
-    a = local.standard_normal((37, 5)).astype(np.float32)
-    b = local.standard_normal((22, 5)).astype(np.float32)
-    full_within = a.astype(np.float64) @ a.astype(np.float64).T
-    full_across = a.astype(np.float64) @ b.astype(np.float64).T
-    upper = np.triu(np.ones((37, 37), dtype=bool), k=1)
-    for tile in (1, 3, 17, 37, 128):
-        seen = np.zeros((37, 37), dtype=np.int64)
-        got = np.full((37, 37), np.nan)
-        for i0, j0, sims in pair_tiles(a, tile=tile):
-            assert sims.dtype == np.float64
-            assert j0 >= i0
-            rows, cols = slice(i0, i0 + sims.shape[0]), slice(j0, j0 + sims.shape[1])
-            live = sims > -np.inf
-            seen[rows, cols] += live
-            got[rows, cols] = np.where(live, sims, got[rows, cols])
-        # Each unordered pair once, as (earlier, later); nothing on or below the diagonal.
-        assert np.array_equal(seen, upper.astype(np.int64))
-        assert np.allclose(got[upper], full_within[upper], rtol=0, atol=1e-12)
+    b = local.standard_normal((23, 5)).astype(np.float32)
+    for m in KERNEL_ROWS:
+        a = local.standard_normal((m, 5)).astype(np.float32)
+        for tile, dtype in itertools.product(KERNEL_TILES, KERNEL_DTYPES):
+            within = np.zeros((m, m), dtype=np.int64)
+            for i0, j0, sims in dedup_core._panels(a, tile=tile, dtype=dtype):
+                assert sims.dtype == dtype
+                assert sims.shape[0] <= dedup_core._PANEL and sims.shape[1] <= tile
+                within[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] += sims > -np.inf
+            # Each unordered pair once, as (later, earlier); nothing on or after the diagonal.
+            assert np.array_equal(within, np.tri(m, k=-1, dtype=np.int64))
 
-        seen = np.zeros((37, 22), dtype=np.int64)
-        got = np.zeros((37, 22))
-        for i0, j0, sims in pair_tiles(a, b, tile=tile):
-            seen[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] += 1
-            got[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] = sims
-        assert np.all(seen == 1)
-        assert np.allclose(got, full_across, rtol=0, atol=1e-12)
+            across = np.zeros((m, b.shape[0]), dtype=np.int64)
+            for i0, j0, sims in dedup_core._panels(a, b, tile=tile, dtype=dtype):
+                assert sims.dtype == dtype
+                assert sims.shape[0] <= dedup_core._PANEL and sims.shape[1] <= tile
+                across[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] += 1
+            assert np.all(across == 1)
 
 
-def test_pair_tiles_equal_products_of_the_cast_rows():
-    # Casting per tile keeps every product as it was on the whole cast: a
-    # diagonal tile is one array times its own transpose, which numpy sends to
-    # syrk; a product of two copies would go to gemm and round differently.
-    a = np.random.default_rng(4).standard_normal((300, 64)).astype(np.float32)
-    wide = a.astype(np.float64)
-    for i0, j0, sims in pair_tiles(a, tile=128):
-        rows = wide[i0:i0 + sims.shape[0]]
-        want = rows @ rows.T if i0 == j0 else rows @ wide[j0:j0 + sims.shape[1]].T
-        live = sims > -np.inf
-        assert np.array_equal(sims[live], want[live])
+def test_panels_equal_gemm_of_the_same_dtype_rows():
+    # Casting a panel or block at a time keeps every product as it is on the
+    # whole cast: no panel is one array times its own transpose, which numpy
+    # would send to syrk and round unlike gemm.
+    local = np.random.default_rng(4)
+    b = local.standard_normal((40, 64)).astype(np.float32)
+    for m in KERNEL_ROWS:
+        a = local.standard_normal((m, 64)).astype(np.float32)
+        for tile, dtype in itertools.product(KERNEL_TILES, KERNEL_DTYPES):
+            wide = a.astype(dtype)
+            for cols, wide_cols in ((None, wide), (b, b.astype(dtype))):
+                for i0, j0, sims in dedup_core._panels(a, cols, tile=tile, dtype=dtype):
+                    want = wide[i0:i0 + sims.shape[0]] @ wide_cols[j0:j0 + sims.shape[1]].T
+                    live = sims > -np.inf
+                    assert np.array_equal(sims[live], want[live])
+
+
+def test_pmax_of_another_length_is_rejected(rng):
+    e = random_unit(rng, 50, 4)
+    model = fit(e, 3, 5, seed=0)
+    for rows in (40, 60):
+        with pytest.raises(InvalidArgumentError):
+            threshold(np.zeros(rows), 0.1, model)
+        with pytest.raises(InvalidArgumentError):
+            sorted_maxima(np.zeros(rows), model, np.arange(model.k))
 
 
 def test_dedup_dataset_calls_cluster_steps_through_module(rng, monkeypatch):
