@@ -11,8 +11,10 @@ The histogram and nmax, each point's largest cosine to another member of
 its cluster, come from one sweep of every cluster's pairs,
 ``within_cluster_pass``. nmax does not depend on epsilon, and the incidence
 at any epsilon thresholds it (``incidence_at``). The detection efficiency
-counts its own pairs, within and across clusters. Every cosine is a float64
-entry of the similarity kernel ``dedup_core._panels``.
+counts its own pairs from one task list: each cluster with itself, then each
+neighboring cluster pair. Each pass is one ``map_ordered`` call over its
+tasks, and every cosine is a float64 entry of the similarity kernel
+``dedup_core._panels``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from ._parallel import budget_rows, chunk_ranges, map_ordered
-from .dedup_core import DEFAULT_TILE, _panels
+from .dedup_core import DEFAULT_TILE, _check_epsilon, _panels
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
 from .spherical_kmeans import KMeansModel, nearest_clusters
@@ -48,11 +50,6 @@ def histogram_bin_edges(bins: int) -> np.ndarray:
 def _bin_indices(sims: np.ndarray, bins: int) -> np.ndarray:
     idx = np.floor((sims + 1.0) * (bins / 2.0)).astype(np.int64)
     return np.clip(idx, 0, bins - 1)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def within_cluster_pass(
@@ -133,20 +130,16 @@ def duplicate_incidence(
 
 
 def intersection_pct(keep_a: Iterable[int], keep_b: Iterable[int], n: int) -> float:
-    """100 * |keep_a intersect keep_b| / n for equal-size id sets of size n."""
+    """100 * |keep_a intersect keep_b| / n for equal-size id sets of size n >= 1."""
     set_a = {int(x) for x in keep_a}
     set_b = {int(x) for x in keep_b}
     if len(set_a) != n or len(set_b) != n:
         raise InvalidArgumentError(
             f"both keep-sets must have size n={n}, got {len(set_a)} and {len(set_b)}"
         )
+    if n < 1:
+        raise InvalidArgumentError("keep-sets must not be empty")
     return 100.0 * len(set_a & set_b) / n
-
-
-def _count_pairs(a: np.ndarray, b: np.ndarray | None, threshold: float, tile: int) -> int:
-    """Pairs at cosine >= threshold: unordered within ``a`` if ``b`` is None, else a x b."""
-    panels = _panels(a, b, tile=tile, dtype=np.float64)
-    return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in panels)
 
 
 def dedup_efficiency(
@@ -171,23 +164,20 @@ def dedup_efficiency(
         raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
     model.check_matches(e)
     threshold = 1.0 - epsilon
+    # Each cluster with itself (detected pairs), then each listed pair (missed ones).
+    pairs = {tuple(sorted((c, int(b)))) for c in range(k) if m_neighbors
+             for b in nearest_clusters(model, c, m_neighbors)}
+    tasks = [(c, c) for c in range(k)] + sorted(pairs)
 
-    def within(c: int) -> int:
-        return _count_pairs(e.data[model.members[c]], None, threshold, tile)
+    def count(task: tuple[int, int]) -> int:
+        a, b = task
+        rows = e.data[model.members[a]]
+        cols = None if a == b else e.data[model.members[b]]
+        panels = _panels(rows, cols, tile=tile, dtype=np.float64)
+        return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in panels)
 
-    detected = int(sum(map_ordered(within, range(k), threads)))
-
-    cluster_pairs: set[tuple[int, int]] = set()
-    if m_neighbors >= 1:
-        for c in range(k):
-            for b in nearest_clusters(model, c, m_neighbors):
-                cluster_pairs.add((min(c, int(b)), max(c, int(b))))
-
-    def across(pair: tuple[int, int]) -> int:
-        a, b = pair
-        return _count_pairs(e.data[model.members[a]], e.data[model.members[b]], threshold, tile)
-
-    missed = int(sum(map_ordered(across, sorted(cluster_pairs), threads)))
+    counts = map_ordered(count, tasks, threads)
+    detected, missed = sum(counts[:k]), sum(counts[k:])
     universe = detected + missed
     if universe == 0:
         return 100.0

@@ -40,6 +40,7 @@ from .dedup_core import (
     DEFAULT_TILE,
     DedupConfig,
     KeepStrategy,
+    _check_epsilon,
     kept_ids,
     prefix_maxima,
     read_keep_list,
@@ -118,8 +119,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.epsilon is not None and self.target_fraction is not None:
             raise InvalidArgumentError("set at most one of epsilon / target_fraction")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise InvalidArgumentError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
         if self.target_fraction is not None and not 0.0 < self.target_fraction < 1.0:
             raise InvalidArgumentError(
                 f"target_fraction must be in (0, 1), got {self.target_fraction}"
@@ -359,13 +360,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    ids_a = read_keep_list(args.keep_a)
-    ids_b = read_keep_list(args.keep_b)
-    if ids_a.size != ids_b.size:
-        raise InvalidArgumentError(
-            f"keep-lists differ in size: {ids_a.size} vs {ids_b.size}"
-        )
-    value = intersection_pct(ids_a, ids_b, int(ids_a.size))
+    ids_a = read_keep_list(args.keep_a)  # distinct ids, so sizes are set sizes
+    value = intersection_pct(ids_a, read_keep_list(args.keep_b), int(ids_a.size))
     print(json.dumps({"n": int(ids_a.size), "intersection_pct": value}))
     return EXIT_OK
 

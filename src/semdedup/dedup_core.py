@@ -73,6 +73,11 @@ def _check_tile(tile: int) -> None:
         raise InvalidArgumentError(f"tile must be >= 1, got {tile}")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 @dataclass(frozen=True)
 class DedupConfig:
     epsilon: float
@@ -82,8 +87,7 @@ class DedupConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategy", KeepStrategy.parse(self.strategy))
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidArgumentError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         _check_tile(self.tile)
 
 
@@ -244,11 +248,17 @@ def prefix_maxima(
 
     The same for any ``threads`` and any OpenBLAS thread count: the sweep runs
     inside ``map_ordered``, which holds OpenBLAS at one thread. Every other
-    row, singletons included, reads 0 and is kept at any epsilon.
+    row, singletons included, reads 0 and is kept at any epsilon. Cluster ids
+    that are not integers, lie outside [0, k) or repeat raise
+    InvalidArgumentError before any sweep.
     """
     model.check_matches(e)
     strategy = KeepStrategy.parse(strategy)
     _check_tile(tile)
+    # Checked in Python: np.unique's first call alone adds about 1.6 MiB to a command's peak RSS.
+    ids = range(model.k) if clusters is None else np.asarray(clusters).tolist()
+    if len(set(ids)) != len(ids) or not all(type(c) is int and 0 <= c < model.k for c in ids):
+        raise InvalidArgumentError(f"cluster ids must be distinct integers in [0, {model.k}), got {clusters}")
     pmax = np.zeros(e.n, dtype=np.float64)
 
     def one(c: int) -> None:
@@ -257,7 +267,7 @@ def prefix_maxima(
             ordered = order_cluster(e, members, model.centroids[c], strategy, cluster_seed(seed, c))
             pmax[ordered] = dedup_cluster(e, ordered, tile)
 
-    map_ordered(one, range(model.k) if clusters is None else np.asarray(clusters).tolist(), threads)
+    map_ordered(one, ids, threads)
     return pmax
 
 
@@ -269,8 +279,7 @@ def _check_row_aligned(pmax: np.ndarray, model: KMeansModel) -> None:
 
 def threshold(pmax: np.ndarray, epsilon: float, model: KMeansModel) -> DedupResult:
     """Greedy verdicts at epsilon from row-aligned prefix maxima."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     _check_row_aligned(pmax, model)
     keep = pmax <= 1.0 - epsilon
     sizes = model.cluster_sizes()
@@ -308,6 +317,7 @@ def write_keep_list(path, ids: np.ndarray) -> None:
 
 
 def read_keep_list(path) -> np.ndarray:
+    """The ids of a keep list; FormatError unless each line is a distinct u64 id."""
     path = Path(path)
     if not path.is_file():
         raise InvalidArgumentError(f"no such file: {path}")
@@ -317,9 +327,14 @@ def read_keep_list(path) -> np.ndarray:
         bad = [t for t in tokens if not (t.isascii() and t.isdigit())]
         if bad:
             raise ValueError(f"not a decimal id: {bad[0]!r}")
-        return np.asarray([int(t) for t in tokens], dtype=np.uint64)
+        ids = np.asarray([int(t) for t in tokens], dtype=np.uint64)
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: keep-list entries must be u64 ids ({exc})") from None
+    ordered = np.sort(ids)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise FormatError(f"{path}: keep list repeats id {repeated[0]}")
+    return ids
 
 
 def summary_dict(result: DedupResult, cfg: DedupConfig, n: int, k: int) -> dict:

@@ -14,6 +14,11 @@ import numpy as np
 from .embedding_store import EmbeddingMatrix, UnitEmbeddingMatrix
 from .errors import ConstructionError, InvalidArgumentError
 
+# Planted group centers keep pairwise |cosine| below this.
+_MAX_CENTER_COS = 0.4
+# Constructions tried, each with half the spread of the one before, before giving up.
+_MAX_ATTEMPTS = 6
+
 
 @dataclass
 class PlantedCorpus:
@@ -79,19 +84,18 @@ def generate_planted(
     d: int,
     within_sim_target: float,
     seed: int,
-    max_center_cos: float = 0.4,
-    max_attempts: int = 6,
 ) -> PlantedCorpus:
     """Build a corpus of near-duplicate groups with verified margins.
 
     Group centers are random unit vectors rejection-sampled to pairwise
-    |cosine| < ``max_center_cos``; members sit within half the target angle
+    |cosine| < ``_MAX_CENTER_COS``; members sit within half the target angle
     of their center, which guarantees every within-group pair meets
     ``within_sim_target`` (up to float32 rounding, which the post-check
     covers). ``group_size`` may be an int or one size per group. A target of
     exactly 1.0 produces bit-identical copies. All pairwise margins are
     re-measured on the stored float32 rows; if they fail, the spread is
-    halved and construction retried, then ConstructionError is raised.
+    halved and construction retried, up to ``_MAX_ATTEMPTS`` times in all,
+    then ConstructionError is raised.
     """
     if d < 8:
         raise InvalidArgumentError("d must be >= 8")
@@ -113,11 +117,11 @@ def generate_planted(
     # Slight shrink keeps the measured minimum strictly above the target.
     spread = half_angle * 0.95
 
-    for _ in range(max_attempts):
-        centers = _sample_centers(rng, n_groups, d, max_center_cos, tries_per_center=500)
+    for _ in range(_MAX_ATTEMPTS):
+        centers = _sample_centers(rng, n_groups, d, _MAX_CENTER_COS, tries_per_center=500)
         if centers is None:
             raise ConstructionError(
-                f"could not draw {n_groups} centers with pairwise |cos| < {max_center_cos} in d={d}"
+                f"could not draw {n_groups} centers with pairwise |cos| < {_MAX_CENTER_COS} in d={d}"
             )
         rows = []
         groups = []
@@ -146,7 +150,7 @@ def generate_planted(
         spread *= 0.5
 
     raise ConstructionError(
-        f"margins failed after {max_attempts} attempts "
+        f"margins failed after {_MAX_ATTEMPTS} attempts "
         f"(target within >= {within_sim_target})"
     )
 

@@ -173,18 +173,18 @@ def _keyed_rows(ids: np.ndarray, seed: int, cap: int) -> np.ndarray:
     return np.argpartition(hashed_uniform(seed, _TAG_SUBSAMPLE, ids), cap - 1)[:cap]
 
 
-def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int, sample_cap: int) -> np.ndarray:
+def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Careful-seeding initialization keyed on (seed, id).
 
     Centers are drawn one at a time; each round holds an exponential race
     with per-id hashed uniforms and rates equal to the squared chord
     distance to the nearest chosen center, which reproduces the usual
     distance-weighted seeding while staying independent of row order. On
-    large inputs the race runs over the id-keyed subsample of ``sample_cap``
-    points with the smallest hash, which keeps init O(cap * k) and
-    deterministic.
+    large inputs the race runs over the id-keyed subsample of
+    ``_INIT_SAMPLE_CAP`` (at least 4k) points with the smallest hash, which
+    keeps init O(cap * k) and deterministic.
     """
-    positions = _keyed_rows(ids, seed, max(sample_cap, 4 * k))
+    positions = _keyed_rows(ids, seed, max(_INIT_SAMPLE_CAP, 4 * k))
     # Canonical ascending-id order makes argmin ties resolve to lowest id.
     positions = positions[np.argsort(ids[positions], kind="stable")]
     m, d = positions.size, data.shape[1]
@@ -280,7 +280,7 @@ def fit(
         # The Lloyd helpers take bare arrays, so the sample skips re-validation.
         rows = np.sort(_keyed_rows(ids, seed, m))
         data, ids = data[rows], ids[rows]
-    centroids64 = _init_centroids(data, ids, k, seed, _INIT_SAMPLE_CAP)
+    centroids64 = _init_centroids(data, ids, k, seed)
     assignment = None
     trace: list[float] = []
 

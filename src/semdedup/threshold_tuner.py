@@ -5,8 +5,11 @@ usually enough to approximate the full-corpus size). The keep order does not
 depend on epsilon, so each sampled point's prefix maximum p decides it at
 every threshold: it is kept iff p <= 1 - epsilon. Those maxima are the rows
 of ``dedup_core.prefix_maxima``, so a caller holding the full pass tunes on it
-without a second sweep. The sampled kept fraction is an order statistic of the
-sorted maxima, a step function of epsilon that changes only at epsilon = 1 - p.
+without a second sweep. ``size_curve`` and ``tune_epsilon`` sweep only the
+sampled clusters: ``prefix_maxima`` rejects ids out of range or repeated, and
+``sorted_maxima`` a sample without points. The sampled kept fraction is an
+order statistic of the sorted maxima, a step function of epsilon that changes
+only at epsilon = 1 - p.
 ``select_epsilon`` evaluates every such step inside the search range at once
 and returns the one nearest the target, so it never misses an attainable fraction.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup_core import DEFAULT_TILE, KeepStrategy, _check_row_aligned, prefix_maxima
+from .dedup_core import DEFAULT_TILE, KeepStrategy, _check_epsilon, _check_row_aligned, prefix_maxima
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import BracketError, InvalidArgumentError
 from .rng import hashed_uniform
@@ -85,19 +88,6 @@ def sorted_maxima(pmax: np.ndarray, model: KMeansModel, sample: np.ndarray) -> n
     return maxima
 
 
-def _sampled_maxima(e, model, sample, strategy, seed, tile, threads) -> np.ndarray:
-    """Sorted prefix maxima of the sampled points, from the dedup pass itself."""
-    sample = np.asarray(sample, dtype=np.int64)
-    if sample.size == 0:
-        raise InvalidArgumentError("cluster sample is empty")
-    if np.unique(sample).size != sample.size:
-        raise InvalidArgumentError("cluster sample contains repeats")
-    if sample.min() < 0 or sample.max() >= model.k:
-        raise InvalidArgumentError("cluster sample index out of range")
-    pmax = prefix_maxima(e, model, strategy, seed, tile, threads, clusters=sample)
-    return sorted_maxima(pmax, model, sample)
-
-
 def _kept_fractions(maxima: np.ndarray, epsilons) -> np.ndarray:
     """Sampled kept fraction at each epsilon: the share of maxima <= 1 - epsilon."""
     return np.searchsorted(maxima, 1.0 - np.asarray(epsilons), side="right") / maxima.size
@@ -119,10 +109,11 @@ def size_curve(
         raise InvalidArgumentError("epsilon list is empty")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise InvalidArgumentError("epsilon list must be non-decreasing")
-    if any(not 0.0 < x < 1.0 for x in eps):
-        raise InvalidArgumentError("epsilons must lie in (0, 1)")
+    for x in eps:
+        _check_epsilon(x)
     eps = sorted(set(eps))
-    maxima = _sampled_maxima(e, model, sample, strategy, seed, tile, threads)
+    pmax = prefix_maxima(e, model, strategy, seed, tile, threads, clusters=sample)
+    maxima = sorted_maxima(pmax, model, sample)
     return SizeCurve([(x, float(f)) for x, f in zip(eps, _kept_fractions(maxima, eps))])
 
 
@@ -189,5 +180,6 @@ def tune_epsilon(
     if not 0.0 < target_fraction < 1.0:
         raise InvalidArgumentError(f"target_fraction must be in (0, 1), got {target_fraction}")
     check_search(eps_lo, eps_hi, tol_fraction, max_probes)
-    maxima = _sampled_maxima(e, model, sample, strategy, seed, tile, threads)
+    pmax = prefix_maxima(e, model, strategy, seed, tile, threads, clusters=sample)
+    maxima = sorted_maxima(pmax, model, sample)
     return select_epsilon(maxima, target_fraction, eps_lo, eps_hi, tol_fraction)

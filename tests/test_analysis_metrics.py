@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semdedup.analysis_metrics import (
-    _count_pairs,
     dedup_efficiency,
     duplicate_incidence,
     histogram_bin_edges,
@@ -160,18 +159,22 @@ def test_metrics_tiling_invariant():
 
 
 def test_pair_counts_match_full_matrix():
+    # Two clusters, each the other's neighbor: eta = 100 W / (W + A), with W the
+    # threshold pairs within a cluster and A those across, from the float64 matrix.
     local = np.random.default_rng(21)
+    eps = 0.4
     for rows_a, rows_b in ((41, 29), (700, 300)):  # the second spans three 256-row panels
-        a = random_unit(local, rows_a, 4).data
-        b = random_unit(local, rows_b, 4).data
-        a64, b64 = a.astype(np.float64), b.astype(np.float64)
-        thr = 0.6
-        within = int(np.count_nonzero(np.triu(a64 @ a64.T >= thr, k=1)))
-        across = int(np.count_nonzero(a64 @ b64.T >= thr))
+        e = random_unit(local, rows_a + rows_b, 4)
+        model = two_cluster_model(e, split=rows_a)
+        rows = e.data.astype(np.float64)
+        hits = rows @ rows.T >= 1.0 - eps
+        within = sum(int(np.count_nonzero(np.triu(hits[s, s], k=1)))
+                     for s in (slice(0, rows_a), slice(rows_a, None)))
+        across = int(np.count_nonzero(hits[:rows_a, rows_a:]))
         assert within > 0 and across > 0
         for tile in (1, 3, 17, 128):
-            assert _count_pairs(a, None, thr, tile) == within
-            assert _count_pairs(a, b, thr, tile) == across
+            eta = dedup_efficiency(e, model, eps, m_neighbors=1, tile=tile)
+            assert eta == 100.0 * within / (within + across)
 
 
 def test_empty_cluster_of_a_loaded_model_adds_nothing(tmp_path, rng):
@@ -221,6 +224,8 @@ def test_intersection_size_mismatch():
         intersection_pct({1, 2}, {1, 2, 3}, 2)
     with pytest.raises(InvalidArgumentError):
         intersection_pct({1, 2}, {1, 2}, 3)
+    with pytest.raises(InvalidArgumentError):
+        intersection_pct(set(), set(), 0)
 
 
 def test_eta_single_cluster_is_exactly_100(rng):

@@ -156,6 +156,24 @@ def test_intersect_malformed_keep_list_exit_format(tmp_path):
         assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
 
 
+def test_intersect_empty_or_unequal_keep_lists_exit_validation(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    good = tmp_path / "good.txt"
+    good.write_text("1\n2\n")
+    for pair in ((empty, empty), (empty, good), (good, empty)):
+        assert main(["intersect", *map(str, pair)]) == EXIT_VALIDATION
+
+
+def test_intersect_repeated_id_exit_format(tmp_path, caplog):
+    good = tmp_path / "good.txt"
+    good.write_text("1\n2\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("123456789\n123456789\n")
+    assert main(["intersect", str(good), str(bad)]) == EXIT_FORMAT
+    assert any("repeats id 123456789" in r.message for r in caplog.records)
+
+
 def counting(monkeypatch, module, name="_panels"):
     """Count calls through ``module.name``; the returned list holds the count."""
     calls = [0]
@@ -224,6 +242,22 @@ def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
         "--output-dir", str(tmp_path / "stats"),
     ]) == 0
     assert calls == [2 * model.k + len(across)]
+
+
+def test_stats_runs_two_pools_and_efficiency_one(tmp_path, corpus_file, monkeypatch):
+    # One pool for the histogram and nmax, one for eta's within and across tasks.
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    model = str(outdir / "model.semk")
+    assert main(["dedup", "--input", str(corpus_file), "--model", model,
+                 "--epsilon", "0.3", "--output-dir", str(outdir)]) == 0
+    pools = counting(monkeypatch, analysis_metrics, "map_ordered")
+    assert main(["stats", "--input", str(corpus_file), "--model", model, "--neighbors", "2",
+                 "--summary", str(outdir / "summary.json"), "--output-dir", str(tmp_path / "s")]) == 0
+    assert pools == [2]
+    assert main(["efficiency", "--input", str(corpus_file), "--model", model, "--neighbors", "2",
+                 "--epsilon", "0.3", "--output-dir", str(tmp_path / "e")]) == 0
+    assert pools == [3]
 
 
 def test_stats_impossible_removed_counts_exit_format(tmp_path, corpus_file):

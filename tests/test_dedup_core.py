@@ -345,6 +345,26 @@ def test_every_tiled_call_rejects_tile_below_one(rng, tile):
             call()
 
 
+def test_prefix_maxima_rejects_bad_cluster_ids_before_any_sweep(rng, monkeypatch):
+    e = random_unit(rng, 60, 6)
+    model = fit(e, 3, 5, seed=0)
+    assert (model.cluster_sizes() >= 2).all()  # a sweep of any cluster would be seen
+    sweeps = []
+    original = dedup_core.dedup_cluster
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dedup_core, "dedup_cluster", counted)
+    low = KeepStrategy.LOW_CENTROID_SIM
+    for clusters in ([-1], [model.k], [0, 0], [2, 0, 2], [0.5]):
+        with pytest.raises(InvalidArgumentError):
+            prefix_maxima(e, model, low, 0, clusters=clusters)
+    assert sweeps == []
+    assert np.array_equal(prefix_maxima(e, model, low, 0, clusters=[]), np.zeros(e.n))
+
+
 @pytest.mark.parametrize("strategy, tile", [("bogus", 16), (KeepStrategy.RANDOM, 0)])
 def test_prefix_maxima_checks_arguments_without_a_cluster_to_sweep(strategy, tile):
     # Four one-hot points in four clusters: every cluster is a singleton.

@@ -124,9 +124,9 @@ def test_generate_planted_mixed_group_sizes():
 
 
 def test_generate_planted_infeasible_raises():
-    # Far too many centers for d=8 at a tight cosine cap.
+    # Far too many centers for d=8 under the 0.4 cosine cap.
     with pytest.raises(ConstructionError):
-        generate_planted(500, 1, d=8, within_sim_target=0.999, seed=0, max_center_cos=0.2)
+        generate_planted(500, 1, d=8, within_sim_target=0.999, seed=0)
 
 
 def test_generate_planted_argument_validation():

@@ -78,7 +78,7 @@ def reference_fit(e, k, iterations, seed, threads):
     Returns the float64 centroids, the assignment, the objective trace and
     the number of empty-cluster repairs.
     """
-    centroids64 = _init_centroids(e.data, e.ids, k, seed, 16384)
+    centroids64 = _init_centroids(e.data, e.ids, k, seed)
     assignment, trace, repairs = None, [], 0
     for _ in range(iterations):
         new_assignment, best_cos = _assign_pass(e.data, centroids64, threads)
@@ -401,7 +401,7 @@ def test_sampled_init_races_over_the_first_keys_of_the_corpus(small_sample, init
     monkeypatch.setattr(spherical_kmeans, "_INIT_SAMPLE_CAP", 50)
     e = random_unit(np.random.default_rng(44), 600, 12)
     fit(e, 7, 1, seed=6)
-    assert init_calls[0][1].tobytes() == _init_centroids(e.data, e.ids, 7, 6, 50).tobytes()
+    assert init_calls[0][1].tobytes() == _init_centroids(e.data, e.ids, 7, 6).tobytes()
 
 
 def test_empty_cluster_repair_keeps_k_clusters():

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from semdedup import threshold_tuner
 from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset
 from semdedup.errors import BracketError, InvalidArgumentError
 from semdedup.spherical_kmeans import KMeansModel, fit
-from semdedup.threshold_tuner import SizeCurve, sample_clusters, size_curve, tune_epsilon
+from semdedup.threshold_tuner import (
+    SizeCurve,
+    sample_clusters,
+    select_epsilon,
+    size_curve,
+    tune_epsilon,
+)
 
 from conftest import exact_step_pairs, fixed_band_groups, random_unit, single_cluster_model
 
@@ -176,12 +181,11 @@ def test_tune_mid_step_target_converges_exactly():
     assert result.achieved_fraction == _sampled(e, model, sample, result.epsilon)
 
 
-def test_tune_attains_steps_below_half(monkeypatch):
+def test_tune_attains_steps_below_half():
     # 1 - (1 - 0.2) rounds to 0.19999999999999996, so epsilon = 1 - 0.2
     # alone would drop the point whose maximum is 0.2.
-    monkeypatch.setattr(threshold_tuner, "_sampled_maxima", lambda *a: np.array([0.0, 0.2, 0.95]))
-    result = tune_epsilon(None, None, None, KeepStrategy.LOW_CENTROID_SIM,
-                          target_fraction=0.66, eps_lo=0.01, eps_hi=0.99, tol_fraction=0.01)
+    result = select_epsilon(np.array([0.0, 0.2, 0.95]), target_fraction=0.66,
+                            eps_lo=0.01, eps_hi=0.99, tol_fraction=0.01)
     assert result.converged
     assert result.achieved_fraction == 2 / 3
     assert 1.0 - result.epsilon >= 0.2
@@ -239,6 +243,17 @@ def test_tune_argument_validation(rng):
         tune_epsilon(e, model, sample, strategy, 0.5, 0.1, 0.2, tol_fraction=0.0)
     with pytest.raises(InvalidArgumentError):
         tune_epsilon(e, model, sample, strategy, 0.5, 0.1, 0.2, max_probes=0)
+
+
+def test_tuner_rejects_empty_repeated_and_out_of_range_samples(rng):
+    e = random_unit(rng, 30, 8)
+    model = fit(e, 3, 5, seed=0)
+    strategy = KeepStrategy.LOW_CENTROID_SIM
+    for sample in ([], [0, 0], [-1], [model.k]):
+        with pytest.raises(InvalidArgumentError):
+            size_curve(e, model, sample, strategy, [0.1])
+        with pytest.raises(InvalidArgumentError):
+            tune_epsilon(e, model, sample, strategy, 0.5, 0.01, 0.5)
 
 
 def test_tuner_rejects_model_of_another_corpus(rng):
