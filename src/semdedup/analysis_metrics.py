@@ -7,14 +7,14 @@ between two equal-size keep-sets, and the detection-efficiency percentage
 (share of threshold pairs found within clusters out of all threshold pairs
 in the neighbor-cluster-approximated universe).
 
-The histogram and nmax, each point's largest cosine to another member of
-its cluster, come from one sweep of every cluster's pairs,
-``within_cluster_pass``. nmax does not depend on epsilon, and the incidence
-at any epsilon thresholds it (``incidence_at``). The detection efficiency
-counts its own pairs from one task list: each cluster with itself, then each
-neighboring cluster pair. Each pass is one ``map_ordered`` call over its
-tasks, and every cosine is a float64 entry of the similarity kernel
-``dedup_core._panels``.
+Two passes over the clusters' pairs, one job each. The binning pass,
+``similarity_histogram``, takes no epsilon. The threshold pass,
+``threshold_pass``, judges each pair once at cosine >= 1 - epsilon: each
+cluster with itself, then each neighboring cluster pair. Its within-cluster
+hits give both eta's detected pairs and the points that have a duplicate, so
+the incidence and eta always agree on a pair's verdict. Each pass is one
+``map_ordered`` call over its tasks, and every cosine is a float64 entry of
+the similarity kernel ``dedup_core._panels``.
 """
 
 from __future__ import annotations
@@ -52,50 +52,6 @@ def _bin_indices(sims: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
-def within_cluster_pass(
-    e: UnitEmbeddingMatrix,
-    model: KMeansModel,
-    bins: int = DEFAULT_BINS,
-    tile: int = DEFAULT_TILE,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram counts and row-aligned nmax from one sweep of each cluster's pairs.
-
-    The counts are those of ``similarity_histogram``. A point's nmax is its
-    largest float64 cosine to another member of its cluster, -inf for a
-    singleton; it is the row and column maximum of the cluster's panels.
-    """
-    if bins < 2:
-        raise InvalidArgumentError("bins must be >= 2")
-    model.check_matches(e)
-    nmax = np.full(e.n, -np.inf)
-
-    def one(c: int) -> np.ndarray:
-        members = model.members[c]
-        counts = np.zeros(bins, dtype=np.int64)
-        near = np.full(members.size, -np.inf)
-        for i0, j0, sims in _panels(e.data[members], tile=tile, dtype=np.float64):
-            # About four float64 temporaries per cosine while binning.
-            for lo, hi in chunk_ranges(sims.shape[0], budget_rows(32 * sims.shape[1])):
-                block = sims[lo:hi]
-                counts += np.bincount(_bin_indices(block[block > -np.inf], bins), minlength=bins)
-            rows = near[i0:i0 + sims.shape[0]]
-            np.maximum(rows, sims.max(axis=1), out=rows)
-            cols = near[j0:j0 + sims.shape[1]]
-            np.maximum(cols, sims.max(axis=0), out=cols)
-        nmax[members] = near
-        return counts
-
-    counts = sum(map_ordered(one, range(model.k), threads))
-    return counts.astype(np.uint64), nmax
-
-
-def incidence_at(nmax: np.ndarray, epsilon: float) -> float:
-    """Share of points whose nmax (see ``within_cluster_pass``) is >= 1 - epsilon."""
-    _check_epsilon(epsilon)
-    return int(np.count_nonzero(nmax >= 1.0 - epsilon)) / nmax.size
-
-
 def similarity_histogram(
     e: UnitEmbeddingMatrix,
     model: KMeansModel,
@@ -107,10 +63,70 @@ def similarity_histogram(
 
     Bin b covers [-1 + 2b/bins, -1 + 2(b+1)/bins), except the last bin which
     is closed at 1. Counts total exactly sum over clusters of n_c(n_c-1)/2.
-    The counts of ``within_cluster_pass``; a caller that also wants the
-    incidence runs that pass once instead.
+    The binning pass: one task per cluster, and no epsilon.
     """
-    return within_cluster_pass(e, model, bins, tile, threads)[0]
+    if bins < 2:
+        raise InvalidArgumentError("bins must be >= 2")
+    model.check_matches(e)
+
+    def one(c: int) -> np.ndarray:
+        counts = np.zeros(bins, dtype=np.int64)
+        for _, _, sims in _panels(e.data[model.members[c]], tile=tile, dtype=np.float64):
+            # About four float64 temporaries per cosine while binning.
+            for lo, hi in chunk_ranges(sims.shape[0], budget_rows(32 * sims.shape[1])):
+                block = sims[lo:hi]
+                counts += np.bincount(_bin_indices(block[block > -np.inf], bins), minlength=bins)
+        return counts
+
+    return sum(map_ordered(one, range(model.k), threads)).astype(np.uint64)
+
+
+def threshold_pass(
+    e: UnitEmbeddingMatrix,
+    model: KMeansModel,
+    epsilon: float,
+    m_neighbors: int,
+    tile: int = DEFAULT_TILE,
+    threads: int = 1,
+) -> tuple[float, float]:
+    """``(eta, incidence)`` from one verdict per pair at cosine >= 1-epsilon.
+
+    The threshold pass: each cluster with itself, then each pair of clusters
+    within one of the two's m nearest-centroid lists. A within-cluster hit
+    counts towards eta's detected pairs and marks both its ends, so the
+    incidence is the share of marked points. ``m_neighbors`` may be 0
+    (mandatory when k == 1, where no neighbor clusters exist).
+    """
+    _check_epsilon(epsilon)
+    k = model.k
+    if m_neighbors < 0 or m_neighbors >= max(k, 1):
+        raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
+    model.check_matches(e)
+    threshold = 1.0 - epsilon
+    pairs = {tuple(sorted((c, int(b)))) for c in range(k) if m_neighbors
+             for b in nearest_clusters(model, c, m_neighbors)}
+    tasks = [(c, c) for c in range(k)] + sorted(pairs)
+    near = np.zeros(e.n, dtype=bool)
+
+    def count(task: tuple[int, int]) -> int:
+        a, b = task
+        rows = e.data[model.members[a]]
+        if a != b:
+            panels = _panels(rows, e.data[model.members[b]], tile=tile, dtype=np.float64)
+            return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in panels)
+        hits, marked = 0, np.zeros(rows.shape[0], dtype=bool)
+        for i0, j0, sims in _panels(rows, tile=tile, dtype=np.float64):
+            hit = sims >= threshold
+            hits += int(np.count_nonzero(hit))
+            marked[i0:i0 + hit.shape[0]] |= hit.any(axis=1)
+            marked[j0:j0 + hit.shape[1]] |= hit.any(axis=0)
+        near[model.members[a]] = marked  # tasks own disjoint rows
+        return hits
+
+    counts = map_ordered(count, tasks, threads)
+    detected, universe = sum(counts[:k]), sum(counts)
+    eta = 100.0 if universe == 0 else 100.0 * detected / universe
+    return eta, int(np.count_nonzero(near)) / e.n
 
 
 def duplicate_incidence(
@@ -122,11 +138,10 @@ def duplicate_incidence(
 ) -> float:
     """Fraction of points with a same-cluster neighbor at cosine >= 1-epsilon.
 
-    Symmetric in the pair and independent of any keep ordering: ``incidence_at``
-    on the nmax of ``within_cluster_pass``, with epsilon checked before the sweep.
+    Symmetric in the pair and independent of any keep ordering: the incidence
+    of ``threshold_pass`` with no neighbor clusters, so it bins nothing.
     """
-    _check_epsilon(epsilon)
-    return incidence_at(within_cluster_pass(e, model, tile=tile, threads=threads)[1], epsilon)
+    return threshold_pass(e, model, epsilon, 0, tile, threads)[1]
 
 
 def intersection_pct(keep_a: Iterable[int], keep_b: Iterable[int], n: int) -> float:
@@ -155,33 +170,10 @@ def dedup_efficiency(
     The reference universe counts every unordered pair at cosine >= 1-epsilon
     whose endpoints share a cluster or sit in clusters that are within each
     other's m nearest-centroid lists (counted if either cluster lists the
-    other). Returns 100.0 when the universe is empty. ``m_neighbors`` may be
-    0 (mandatory when k == 1, where no neighbor clusters exist).
+    other). Returns 100.0 when the universe is empty. The eta of
+    ``threshold_pass``.
     """
-    _check_epsilon(epsilon)
-    k = model.k
-    if m_neighbors < 0 or m_neighbors >= max(k, 1):
-        raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
-    model.check_matches(e)
-    threshold = 1.0 - epsilon
-    # Each cluster with itself (detected pairs), then each listed pair (missed ones).
-    pairs = {tuple(sorted((c, int(b)))) for c in range(k) if m_neighbors
-             for b in nearest_clusters(model, c, m_neighbors)}
-    tasks = [(c, c) for c in range(k)] + sorted(pairs)
-
-    def count(task: tuple[int, int]) -> int:
-        a, b = task
-        rows = e.data[model.members[a]]
-        cols = None if a == b else e.data[model.members[b]]
-        panels = _panels(rows, cols, tile=tile, dtype=np.float64)
-        return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in panels)
-
-    counts = map_ordered(count, tasks, threads)
-    detected, missed = sum(counts[:k]), sum(counts[k:])
-    universe = detected + missed
-    if universe == 0:
-        return 100.0
-    return 100.0 * detected / universe
+    return threshold_pass(e, model, epsilon, m_neighbors, tile, threads)[0]
 
 
 def per_cluster_stats(removed_counts: np.ndarray, model: KMeansModel) -> list:

@@ -31,10 +31,10 @@ from .analysis_metrics import (
     DEFAULT_NEIGHBORS,
     dedup_efficiency,
     histogram_bin_edges,
-    incidence_at,
     intersection_pct,
     per_cluster_stats,
-    within_cluster_pass,
+    similarity_histogram,
+    threshold_pass,
 )
 from .dedup_core import (
     DEFAULT_TILE,
@@ -332,16 +332,14 @@ def cmd_stats(args) -> int:
         if not 0 <= s.removed <= s.size:
             raise FormatError(f"{Path(args.summary)}: cluster {s.cluster} removed {s.removed} "
                               f"of its {s.size} points")
-    counts, nmax = within_cluster_pass(corpus, model, cfg.histogram_bins, cfg.tile, threads)
-    incidence = incidence_at(nmax, epsilon)
+    counts = similarity_histogram(corpus, model, cfg.histogram_bins, cfg.tile, threads)
     m_eff = min(cfg.neighbors, model.k - 1)
-    eta = dedup_efficiency(corpus, model, epsilon, m_eff, tile=cfg.tile, threads=threads)
+    eta, incidence = threshold_pass(corpus, model, epsilon, m_eff, cfg.tile, threads)
     report = {
         "similarity_histogram": {"bins": cfg.histogram_bins, "counts": counts.tolist()},
         "duplicate_incidence": incidence,
         "per_cluster": [asdict(s) for s in stats],
         "eta": eta,
-        "intersection": None,  # kept so stats.json keeps its keys; `intersect` computes it
     }
     logger.info("duplicate incidence %.4f, eta %.2f%%", incidence, eta)
     edges = histogram_bin_edges(cfg.histogram_bins)

@@ -121,7 +121,7 @@ def check_search(eps_lo: float, eps_hi: float, tol_fraction: float, max_probes: 
     """Validate the tuner's search range and tolerances."""
     if not (0.0 < eps_lo < eps_hi < 1.0):
         raise InvalidArgumentError(f"need 0 < eps_lo < eps_hi < 1, got ({eps_lo}, {eps_hi})")
-    if tol_fraction <= 0.0:
+    if not tol_fraction > 0.0:  # NaN included
         raise InvalidArgumentError("tol_fraction must be positive")
     if max_probes < 1:
         raise InvalidArgumentError("max_probes must be >= 1")

@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
-The performance smoke test (criterion 10) is a soft target: an overrun
-emits a warning instead of failing.
+The performance smoke test (criterion 10) has a soft time budget: an
+overrun prints a SOFT-PASS line instead of failing, and its asserts on the
+result still hold.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -293,7 +293,6 @@ def test_criterion_10_performance_smoke():
         f"total {elapsed:.0f}s (soft budget {budget_s:.0f}s)"
     )
     if elapsed > budget_s:
-        warnings.warn(f"performance smoke exceeded the soft budget: {detail}")
         print(f"[acceptance] criterion 10 (performance smoke): SOFT-PASS - {detail}")
     else:
         _report(10, "performance smoke", detail)

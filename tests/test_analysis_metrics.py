@@ -1,15 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 
+from semdedup import analysis_metrics
 from semdedup.analysis_metrics import (
     dedup_efficiency,
     duplicate_incidence,
     histogram_bin_edges,
-    incidence_at,
     intersection_pct,
     per_cluster_stats,
     similarity_histogram,
-    within_cluster_pass,
+    threshold_pass,
 )
 from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, prefix_maxima
 from semdedup.errors import InvalidArgumentError
@@ -20,12 +22,13 @@ from semdedup.spherical_kmeans import KMeansModel, fit, load_model, save_model
 from conftest import exact_step_pairs, fixed_band_groups, random_unit, single_cluster_model, unit_rows
 
 
-def two_cluster_model(e, split):
-    """Model with fixed [0, split) / [split, n) membership and mean centroids."""
+def block_model(e, *splits):
+    """Model with fixed [0, s1) / [s1, s2) / ... / [s_last, n) membership and mean centroids."""
     assignment = np.zeros(e.n, dtype=np.uint32)
-    assignment[split:] = 1
+    for split in splits:
+        assignment[split:] += 1
     cents = []
-    for c in (0, 1):
+    for c in range(len(splits) + 1):
         mean = e.data[assignment == c].astype(np.float64).sum(axis=0)
         cents.append(mean / np.linalg.norm(mean))
     return KMeansModel(centroids=np.asarray(cents, dtype=np.float32), assignment=assignment)
@@ -55,7 +58,7 @@ def test_histogram_total_and_bins_match_recount(rng):
         model = fit(e, k, 10, seed=0)
         assert model.cluster_sizes().min() >= smallest
         bins = 32
-        counts, nmax = within_cluster_pass(e, model, bins=bins, tile=17)
+        counts = similarity_histogram(e, model, bins=bins, tile=17)
         sizes = model.cluster_sizes()
         assert int(counts.sum()) == int(sum(s * (s - 1) // 2 for s in sizes))
 
@@ -68,8 +71,6 @@ def test_histogram_total_and_bins_match_recount(rng):
             iu = np.triu_indices(members.size, k=1)
             idx = np.clip(np.floor((sims[iu] + 1.0) * (bins / 2.0)).astype(np.int64), 0, bins - 1)
             expected += np.bincount(idx, minlength=bins)
-            np.fill_diagonal(sims, -np.inf)
-            assert np.allclose(nmax[members], sims.max(axis=1), rtol=0, atol=1e-12)
         assert np.array_equal(counts.astype(np.int64), expected)
 
 
@@ -105,22 +106,21 @@ def test_incidence_counts_a_pair_exactly_at_the_threshold():
     model = single_cluster_model(e)
     assert duplicate_incidence(e, model, 0.125) == 1.0
     assert duplicate_incidence(e, model, 0.1249) == 0.0
-    _, nmax = within_cluster_pass(e, model)
-    assert np.all(nmax == 0.875)
-    assert incidence_at(nmax, 0.125) == 1.0
+    # One verdict per pair: every pair is both a duplicate and a detected pair.
+    assert threshold_pass(e, model, 0.125, 0) == (100.0, 1.0)
 
 
-def test_singleton_nmax_is_minus_infinity():
+def test_singleton_never_has_a_duplicate():
     e = exact_step_pairs()
     assignment = np.zeros(e.n, dtype=np.uint32)
     assignment[0] = 1  # row 0 alone; its partner, row 16, loses its duplicate
     centroids = np.vstack([np.eye(e.d)[1], e.data[0]]).astype(np.float32)
     model = KMeansModel(centroids=centroids, assignment=assignment)
-    _, nmax = within_cluster_pass(e, model)
-    assert nmax[0] == -np.inf
-    assert nmax[16] < 0.875
-    assert np.all(np.delete(nmax, [0, 16]) == 0.875)
-    assert incidence_at(nmax, 0.125) == duplicate_incidence(e, model, 0.125) == 30 / 32
+    # Row 16's largest cosine inside cluster 0 is 0, so even a threshold of
+    # 0.01 counts every row but rows 0 and 16.
+    for eps in (0.125, 0.5, 0.99):
+        assert duplicate_incidence(e, model, eps) == 30 / 32
+    assert duplicate_incidence(e, model, 0.1249) == 0.0
 
 
 def test_incidence_matches_brute_force_pairs(rng):
@@ -139,6 +139,62 @@ def test_incidence_matches_brute_force_pairs(rng):
                 has_dup.add(a)
                 has_dup.add(b)
         assert engine == len(has_dup) / n
+
+
+def test_incidence_matches_full_matrix():
+    # Share of points with a same-cluster partner at cos >= 1 - eps in the
+    # float64 matrix. The last row, a copy of row 0, is a cluster of its own:
+    # its cross-cluster duplicate never counts.
+    local = np.random.default_rng(23)
+    # Each epsilon leaves about half the points with a duplicate; the second
+    # corpus spans three 256-row panels.
+    for rows_a, rows_b, eps in ((41, 29, 0.1), (700, 300, 0.02)):
+        e = random_unit(local, rows_a + rows_b, 4)
+        e = unit_rows(np.vstack([e.data, e.data[:1]]))
+        model = block_model(e, rows_a, rows_a + rows_b)
+        rows = e.data.astype(np.float64)
+        hits = rows @ rows.T >= 1.0 - eps
+        np.fill_diagonal(hits, False)
+        same = model.assignment[:, None] == model.assignment[None, :]
+        has_dup = (hits & same).any(axis=1)
+        assert hits[-1, 0] and not has_dup[-1]
+        assert 0 < np.count_nonzero(has_dup) < e.n - 1
+        for tile in (1, 3, 17, 128):
+            assert duplicate_incidence(e, model, eps, tile=tile) == np.count_nonzero(has_dup) / e.n
+
+
+def test_incidence_bins_nothing(monkeypatch):
+    e = exact_step_pairs()
+    model = single_cluster_model(e)
+    calls = []
+    original = analysis_metrics._bin_indices
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis_metrics, "_bin_indices", counted)
+    assert duplicate_incidence(e, model, 0.125) == 1.0
+    assert calls == []
+    similarity_histogram(e, model)
+    assert calls  # the counter sees the binning pass
+
+
+def test_incidence_marks_survive_many_workers():
+    # Pair g of exact_step_pairs (rows g and g + 16) is cluster g, so every
+    # cluster's rows interleave with the others' in the one shared mark array.
+    # More workers than cores and a short switch interval must lose no mark.
+    e = exact_step_pairs()
+    assignment = np.arange(e.n, dtype=np.uint32) % 16
+    centroids = unit_rows(e.data[:16] + e.data[16:]).data
+    model = KMeansModel(centroids=centroids, assignment=assignment)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = {threshold_pass(e, model, 0.125, 0, tile=1, threads=8) for _ in range(20)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {(100.0, 1.0)}
 
 
 def test_metrics_tiling_invariant():
@@ -165,7 +221,7 @@ def test_pair_counts_match_full_matrix():
     eps = 0.4
     for rows_a, rows_b in ((41, 29), (700, 300)):  # the second spans three 256-row panels
         e = random_unit(local, rows_a + rows_b, 4)
-        model = two_cluster_model(e, split=rows_a)
+        model = block_model(e, rows_a)
         rows = e.data.astype(np.float64)
         hits = rows @ rows.T >= 1.0 - eps
         within = sum(int(np.count_nonzero(np.triu(hits[s, s], k=1)))
@@ -181,7 +237,7 @@ def test_empty_cluster_of_a_loaded_model_adds_nothing(tmp_path, rng):
     # A saved model may hold a cluster with no members; each pass skips it
     # and otherwise agrees with the model without it.
     e = random_unit(rng, 700, 8)
-    compact = two_cluster_model(e, split=400)
+    compact = block_model(e, 400)
     path = tmp_path / "model.semk"
     save_model(KMeansModel(
         centroids=np.vstack([compact.centroids[0], np.eye(e.d)[0], compact.centroids[1]]),
@@ -189,9 +245,9 @@ def test_empty_cluster_of_a_loaded_model_adds_nothing(tmp_path, rng):
     ), path)
     loaded = load_model(path)
     assert loaded.cluster_sizes().tolist() == [400, 0, 300]
-    for got, want in zip(within_cluster_pass(e, loaded, bins=32, tile=100),
-                         within_cluster_pass(e, compact, bins=32, tile=100)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(similarity_histogram(e, loaded, bins=32, tile=100),
+                          similarity_histogram(e, compact, bins=32, tile=100))
+    assert duplicate_incidence(e, loaded, 0.4, tile=100) == duplicate_incidence(e, compact, 0.4, tile=100)
     # m = 2 lists every other cluster, as m = 1 does for the compact model.
     eta = dedup_efficiency(e, compact, 0.4, m_neighbors=1)
     assert dedup_efficiency(e, loaded, 0.4, m_neighbors=2) == eta
@@ -253,7 +309,7 @@ def test_eta_split_pair_gives_50():
     p2 = [np.cos(angle), -np.sin(angle), 0.0, 0.0]
     p3 = [0.0, 0.0, 1.0, 0.0]
     e = unit_rows([p0, p1, p2, p3])
-    model = two_cluster_model(e, split=2)
+    model = block_model(e, 2)
 
     eps = 0.05  # threshold 0.95: cos(17) ~ 0.956 counts, cos(34) ~ 0.829 does not
     assert dedup_efficiency(e, model, eps, m_neighbors=1) == 50.0

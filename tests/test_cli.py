@@ -8,7 +8,12 @@ import pytest
 
 from semdedup import analysis_metrics, cli, dedup_core
 from semdedup.cli import _FLAG_NAMES, PipelineConfig, main
-from semdedup.embedding_store import EmbeddingMatrix, load_embeddings, write_embeddings
+from semdedup.embedding_store import (
+    EmbeddingMatrix,
+    load_embeddings,
+    normalize_rows_in_place,
+    write_embeddings,
+)
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VALIDATION
 from semdedup.spherical_kmeans import load_model, nearest_clusters
 
@@ -223,7 +228,7 @@ def test_stats_wrong_count_list_length_exits_before_any_sweep(tmp_path, corpus_f
 
 
 def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
-    # Once for the histogram and the incidence, once for eta's within count.
+    # Once for the histogram, once for eta's within count and the incidence.
     assert main(["synth", "--groups", "40", "--group-size", "3", "--dim", "64",
                  "--within-sim", "0.97", "--seed", "7", "--out-prefix", str(tmp_path / "p")]) == 0
     corpus = tmp_path / "p.semd"
@@ -245,7 +250,8 @@ def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
 
 
 def test_stats_runs_two_pools_and_efficiency_one(tmp_path, corpus_file, monkeypatch):
-    # One pool for the histogram and nmax, one for eta's within and across tasks.
+    # One pool for the histogram, one for the threshold pass: eta's within and
+    # across tasks, whose within hits also give the incidence.
     outdir = tmp_path / "run"
     assert run_cluster(corpus_file, outdir) == 0
     model = str(outdir / "model.semk")
@@ -258,6 +264,25 @@ def test_stats_runs_two_pools_and_efficiency_one(tmp_path, corpus_file, monkeypa
     assert main(["efficiency", "--input", str(corpus_file), "--model", model, "--neighbors", "2",
                  "--epsilon", "0.3", "--output-dir", str(tmp_path / "e")]) == 0
     assert pools == [3]
+
+
+def test_stats_incidence_and_eta_match_the_standalone_metrics(tmp_path, corpus_file):
+    # At epsilon 0.5 some of the random corpus's threshold pairs cross clusters.
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir) == 0
+    model_path = outdir / "model.semk"
+    assert main(["dedup", "--input", str(corpus_file), "--model", str(model_path),
+                 "--epsilon", "0.5", "--output-dir", str(outdir)]) == 0
+    assert main(["stats", "--input", str(corpus_file), "--model", str(model_path),
+                 "--neighbors", "2", "--summary", str(outdir / "summary.json"),
+                 "--output-dir", str(tmp_path / "s")]) == 0
+    stats = json.loads((tmp_path / "s" / "stats.json").read_text())
+    e = normalize_rows_in_place(load_embeddings(str(corpus_file)))
+    model = load_model(model_path)
+    assert 0.0 < stats["duplicate_incidence"] < 1.0 and stats["eta"] < 100.0
+    assert stats["duplicate_incidence"] == analysis_metrics.duplicate_incidence(e, model, 0.5)
+    assert stats["eta"] == analysis_metrics.dedup_efficiency(e, model, 0.5, m_neighbors=2)
+    assert "intersection" not in stats
 
 
 def test_stats_impossible_removed_counts_exit_format(tmp_path, corpus_file):
@@ -297,7 +322,7 @@ def test_stats_epsilon_must_match_summary(tmp_path, corpus_file):
     assert stats("--target-fraction", "0.5") == 0
 
 
-def test_config_malformed_exit_validation(tmp_path, corpus_file):
+def test_config_malformed_exit_validation(tmp_path, corpus_file, caplog):
     config = tmp_path / "config.json"
     out = tmp_path / "out"
     base = {"input": str(corpus_file), "epsilon": 0.1, "k": 4, "output_dir": str(out)}
@@ -305,10 +330,13 @@ def test_config_malformed_exit_validation(tmp_path, corpus_file):
     assert main(["cluster", "--config", str(config)]) == 0
     shutil.rmtree(out)
     bad = ({"k": "four"}, {"tile": 0}, {"eps_lo": 0.6, "eps_hi": 0.5}, {"tol_fraction": 0.0},
-           {"max_probes": 0}, {"histogram_bins": 1})
+           {"tol_fraction": float("nan")}, {"max_probes": 0}, {"histogram_bins": 1})
     for text in ("{not json", *(json.dumps({**base, **values}) for values in bad)):
         config.write_text(text)
+        caplog.clear()
         assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
+        if "NaN" in text:  # NaN fails every comparison, `tol_fraction > 0` included
+            assert "tol_fraction" in caplog.records[-1].message
     assert not out.exists()
 
 

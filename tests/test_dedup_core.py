@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semdedup import _parallel, dedup_core
-from semdedup.analysis_metrics import dedup_efficiency, within_cluster_pass
+from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
 from semdedup.dedup_core import (
     DedupConfig,
     KeepStrategy,
@@ -336,7 +336,8 @@ def test_every_tiled_call_rejects_tile_below_one(rng, tile):
     strategy = KeepStrategy.LOW_CENTROID_SIM
     calls = (
         lambda: prefix_maxima(e, model, strategy, 0, tile),
-        lambda: within_cluster_pass(e, model, tile=tile),
+        lambda: similarity_histogram(e, model, tile=tile),
+        lambda: duplicate_incidence(e, model, 0.05, tile=tile),
         lambda: dedup_efficiency(e, model, 0.05, 1, tile=tile),
         lambda: size_curve(e, model, np.arange(model.k), strategy, [0.05], tile=tile),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semdedup import _parallel
-from semdedup.analysis_metrics import dedup_efficiency, within_cluster_pass
+from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
 from semdedup.cli import PipelineConfig, _load_corpus
 from semdedup.dedup_core import KeepStrategy, prefix_maxima
 from semdedup.embedding_store import (
@@ -36,7 +36,8 @@ def _results(e, threads):
         # The winning cosines: their low bits show how the GEMM was blocked.
         _assign_pass(e.data, model.centroids.astype(np.float64), threads)[1].tobytes(),
         prefix_maxima(e, model, low, 2, tile=16, threads=threads).tobytes(),
-        *(a.tobytes() for a in within_cluster_pass(e, model, 40, tile=16, threads=threads)),
+        similarity_histogram(e, model, 40, tile=16, threads=threads).tobytes(),
+        duplicate_incidence(e, model, 0.3, tile=16, threads=threads),
         dedup_efficiency(e, model, 0.3, 2, tile=16, threads=threads),
     )
 
