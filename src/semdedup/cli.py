@@ -8,7 +8,8 @@ effective config is copied next to the results so every run is reproducible.
 Inputs are fully validated before any output file is created.
 
 Exit codes: 0 success, 2 validation error, 3 format error, 4 data error,
-5 tuner did not converge: the sampled clusters attain no kept fraction within
+5 tuner did not converge: the rows the command tunes on (every point for
+dedup, the sampled clusters for tune) attain no kept fraction within
 tol_fraction of the target. A target outside [kept(eps_hi) - tol_fraction,
 kept(eps_lo) + tol_fraction] exits 2 instead.
 """
@@ -61,7 +62,7 @@ from .oracle import generate_planted
 from .spherical_kmeans import fit, load_model, save_model
 from .threshold_tuner import (
     DEFAULT_MAX_PROBES, DEFAULT_TOL_FRACTION, check_search, sample_clusters, select_epsilon,
-    size_curve, sorted_maxima, tune_epsilon,
+    size_curve, tune_epsilon,
 )
 
 logger = logging.getLogger("semdedup")
@@ -83,8 +84,8 @@ _FLAG_OPTIONS = {
     "input": {"help": "embedding file path"},
     "input_format": {"choices": ["binary", "text"]},
     "strategy": {"choices": [s.value for s in KeepStrategy]},
-    "threads": {"help": "the whole CPU budget, OpenBLAS included "
-                        "(0 = $SEMDEDUP_THREADS or the CPU count)"},
+    "threads": {"help": "CPU budget of each pass, OpenBLAS included, but k-means seeding "
+                        "uses OpenBLAS's own threads (0 = $SEMDEDUP_THREADS or the CPU count)"},
 }
 
 
@@ -93,8 +94,9 @@ class PipelineConfig:
     """Run parameters; at most one of epsilon / target_fraction may be set.
 
     Commands that read a threshold check for theirs: dedup needs one of the
-    two, tune a target fraction, efficiency an epsilon. ``max_probes`` bounds
-    nothing since the tuner became exact; it is still accepted and validated.
+    two, tune a target fraction, efficiency an epsilon. ``sample_fraction``
+    steers tune only. ``max_probes`` bounds nothing since the tuner became
+    exact; it is still accepted and validated.
     """
 
     input: str = ""
@@ -232,14 +234,10 @@ def cmd_dedup(args) -> int:
     tuned = None
     epsilon = cfg.epsilon
     if epsilon is None:
-        # Picked on the sampled rows of the full pass, so no cluster is swept twice.
-        maxima = sorted_maxima(pmax, model, sample_clusters(model, cfg.sample_fraction, cfg.seed))
-        tuned = select_epsilon(maxima, cfg.target_fraction, cfg.eps_lo, cfg.eps_hi, cfg.tol_fraction)
+        tuned = select_epsilon(np.sort(pmax), cfg.target_fraction, cfg.eps_lo, cfg.eps_hi, cfg.tol_fraction)
         epsilon = tuned.epsilon
-        logger.info(
-            "tuned epsilon=%.6g (sampled kept fraction %.4f, %d probes, converged=%s)",
-            tuned.epsilon, tuned.achieved_fraction, tuned.probes, tuned.converged,
-        )
+        logger.info("tuned epsilon=%.6g (kept fraction %.4f, %d probes, converged=%s)",
+                    tuned.epsilon, tuned.achieved_fraction, tuned.probes, tuned.converged)
 
     dedup_cfg = DedupConfig(epsilon=epsilon, strategy=cfg.strategy, seed=cfg.seed, tile=cfg.tile)
     result = threshold(pmax, epsilon, model)

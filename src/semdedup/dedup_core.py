@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import budget_rows, chunk_ranges, map_ordered
-from .embedding_store import UnitEmbeddingMatrix
+from .embedding_store import UNIT_NORM_TOL, UnitEmbeddingMatrix
 from .errors import FormatError, InvalidArgumentError
 from .rng import hash_u64, hashed_uniform
 from .spherical_kmeans import KMeansModel
@@ -176,28 +176,30 @@ def _panels(a: np.ndarray, b: np.ndarray | None = None, *, tile: int, dtype: typ
 def _screen_margin(d: int) -> float:
     """Float32 score gap within which a pair may still hold a float64 maximum.
 
-    2(gamma_d(u32) + 2 u32 + 2 gamma_d(u64)), gamma_d(u) = d u / (1 - d u)
-    (Higham, section 3.1). A float32 dot of two unit rows lies within
-    gamma_d(u32) of the exact one for any summation order, with or without
-    FMA, and the float64 dot within gamma_d(u64); so the float64 winner's
-    float32 score is within twice both bounds of the best score. The 2 u32
-    terms cover norms off 1 by up to UNIT_NORM_TOL (for d below 10^5).
+    2(gamma_d(u32) + 2 u32 + 2 gamma_d(u64)) (1 + UNIT_NORM_TOL)^2, gamma_d(u) =
+    d u / (1 - d u) (Higham, section 3.1). Float32 and float64 dots of rows x, y
+    lie within gamma_d(u32) and gamma_d(u64) times |x| |y| <= (1 + UNIT_NORM_TOL)^2
+    of the exact one, for any summation order, with or without FMA; so the float64
+    winner's float32 score is within twice both bounds of the best score, plus
+    headroom 2 u32. d u32 >= 1 admits no bound and raises InvalidArgumentError.
     """
     u32, u64 = 2.0**-24, 2.0**-53
+    if d * u32 >= 1:
+        raise InvalidArgumentError(f"d = {d} leaves the float32 screen no error bound (need d < 2^24)")
     gamma32, gamma64 = (d * u / (1 - d * u) for u in (u32, u64))
-    return 2 * (gamma32 + 2 * u32 + 2 * gamma64)
+    return 2 * (gamma32 + 2 * u32 + 2 * gamma64) * (1 + UNIT_NORM_TOL) ** 2
 
 
-def _screen(rows: np.ndarray, tile: int):
+def _screen(rows: np.ndarray, tile: int, margin: float):
     """Per panel, the ``(later, earlier)`` row pairs that may hold a later row's float64 maximum.
 
-    Each float32 block of ``_panels`` keeps every score within the margin of
-    its row's best so far. After a panel's last block that best is final, and
-    only pairs within the margin of it are yielded, so one panel's candidates
-    are held at a time. Each cut-off is rounded down, so the pair with the
-    largest float64 dot always survives (see ``_screen_margin``).
+    Each float32 block of ``_panels`` keeps every score within ``margin``
+    (``_screen_margin`` of the row length) of its row's best so far. After a
+    panel's last block that best is final, and only pairs within the margin of
+    it are yielded, so one panel's candidates are held at a time. Each cut-off
+    is rounded down, so the pair with the largest float64 dot always survives.
     """
-    margin = np.nextafter(np.float32(_screen_margin(rows.shape[1])), np.float32(np.inf))
+    margin = np.nextafter(np.float32(margin), np.float32(np.inf))
     for i0, j0, sims in _panels(rows, tile=tile, dtype=np.float32):
         r, c = sims.shape
         if j0 == 0:  # a panel's first block, which holds all its rows
@@ -220,9 +222,10 @@ def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAU
     A maximum is the float64 row-wise dot of its winning pair, found by the
     float32 screen (``_screen``), so it depends on neither ``tile`` nor BLAS.
     """
+    margin = _screen_margin(e.d)  # before the gather: a row length may admit no margin
     rows = e.data[ordered]
     prefix = np.zeros(len(ordered))
-    for later, earlier in _screen(rows, tile):
+    for later, earlier in _screen(rows, tile, margin):
         for lo, hi in chunk_ranges(later.size, budget_rows(24 * e.d)):
             dots = np.einsum("ij,ij->i", rows[later[lo:hi]].astype(np.float64),
                              rows[earlier[lo:hi]].astype(np.float64))

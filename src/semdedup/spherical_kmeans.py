@@ -264,7 +264,8 @@ def fit(
     the trace costs no data pass. It never decreases (within 1e-7). A final
     pass assigns the whole corpus to the returned float32 centroids and repairs
     empty clusters, so ``assign(e, model.centroids)`` equals ``model.assignment``
-    except for points that repair moved.
+    except for points that repair moved. ``threads`` bounds the assignment and
+    update passes; the seeding's k GEMVs run outside them, on OpenBLAS's own threads.
     """
     n = e.n
     if k < 1:

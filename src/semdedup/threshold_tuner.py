@@ -1,17 +1,15 @@
 """Estimate the threshold that hits a target kept-fraction.
 
-Kept fraction is evaluated on a sampled subset of clusters (sampling 10% is
-usually enough to approximate the full-corpus size). The keep order does not
-depend on epsilon, so each sampled point's prefix maximum p decides it at
-every threshold: it is kept iff p <= 1 - epsilon. Those maxima are the rows
-of ``dedup_core.prefix_maxima``, so a caller holding the full pass tunes on it
-without a second sweep. ``size_curve`` and ``tune_epsilon`` sweep only the
-sampled clusters: ``prefix_maxima`` rejects ids out of range or repeated, and
-``sorted_maxima`` a sample without points. The sampled kept fraction is an
-order statistic of the sorted maxima, a step function of epsilon that changes
-only at epsilon = 1 - p.
+The keep order does not depend on epsilon, so a point's prefix maximum p
+(``dedup_core.prefix_maxima``) decides it at every threshold: it is kept iff
+p <= 1 - epsilon. The kept fraction of sorted maxima is thus an order
+statistic, a step function of epsilon that changes only at epsilon = 1 - p.
 ``select_epsilon`` evaluates every such step inside the search range at once
-and returns the one nearest the target, so it never misses an attainable fraction.
+and returns the one nearest the target, so it never misses an attainable
+fraction. ``dedup`` runs it on every point's maximum; ``size_curve`` and
+``tune_epsilon`` on sampled clusters (10% is usually enough to approximate the
+full-corpus size). ``prefix_maxima`` rejects ids out of range or repeated,
+and ``sorted_maxima`` a sample without points.
 """
 
 from __future__ import annotations

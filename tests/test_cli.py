@@ -16,6 +16,7 @@ from semdedup.embedding_store import (
 )
 from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VALIDATION
 from semdedup.spherical_kmeans import load_model, nearest_clusters
+from semdedup.threshold_tuner import sample_clusters, select_epsilon, sorted_maxima
 
 from conftest import exact_step_pairs, fixed_band_groups
 
@@ -476,6 +477,38 @@ def test_dedup_with_target_fraction_tunes(tmp_path, step_corpus_file):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["tuning"]["converged"]
     assert abs(summary["kept_fraction"] - 0.86) <= 0.02 + 1e-9
+
+
+def test_dedup_target_fraction_tunes_on_every_point(tmp_path, corpus_file):
+    outdir = tmp_path / "run"
+    assert run_cluster(corpus_file, outdir, k=10) == 0
+    model_path = outdir / "model.semk"
+    model = load_model(model_path)
+    pmax = dedup_core.prefix_maxima(normalize_rows_in_place(load_embeddings(corpus_file)),
+                                    model, "low", 0)
+    tol = 1e-4
+    # Premise: the one cluster a 10% sample draws tunes to another epsilon than every point.
+    sampled = sorted_maxima(pmax, model, sample_clusters(model, 0.1, 0))
+    assert (select_epsilon(sampled, 0.75, 1e-4, 0.5, tol).epsilon
+            != select_epsilon(np.sort(pmax), 0.75, 1e-4, 0.5, tol).epsilon)
+    misses = []
+    for target in (0.75, 0.754):  # 90 of 120 points is attainable, 0.754 is not
+        runs = []
+        for fraction in ("0.1", "1.0"):
+            out = tmp_path / f"{target}-{fraction}"
+            code = main([
+                "dedup", "--input", str(corpus_file), "--model", str(model_path),
+                "--target-fraction", str(target), "--sample-fraction", fraction,
+                "--tol-fraction", str(tol), "--output-dir", str(out),
+            ])
+            runs.append((code, (out / "keep.txt").read_bytes(), (out / "summary.json").read_bytes()))
+        assert runs[0] == runs[1]
+        code, _, summary = runs[0]
+        summary = json.loads(summary)
+        assert summary["kept_fraction"] == summary["tuning"]["achieved_fraction"]
+        misses.append(abs(summary["kept_fraction"] - target) > tol)
+        assert code == (EXIT_NOT_CONVERGED if misses[-1] else 0)
+    assert misses == [False, True]
 
 
 def test_dedup_target_fraction_sweeps_each_cluster_once(tmp_path, step_corpus_file, monkeypatch):

@@ -1,5 +1,7 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
 from semdedup.threshold_tuner import size_curve, sorted_maxima
-from semdedup.embedding_store import UnitEmbeddingMatrix, normalize_rows
+from semdedup.embedding_store import UNIT_NORM_TOL, UnitEmbeddingMatrix, normalize_rows
 
 from conftest import random_unit, single_cluster_model, unit_rows
 
@@ -189,14 +191,37 @@ def test_dedup_cluster_equals_brute_force_on_near_ties():
         assert np.array_equal(dedup_cluster(e, np.arange(len(rows)), tile=tile), want)
 
 
+@pytest.mark.parametrize("d", [1, 128, 10**5, 10**6, 2**23])
+def test_screen_margin_covers_rows_off_unit_length(d):
+    # In exact arithmetic: twice the float32 and float64 dot error bounds of
+    # rows whose norms reach 1 + UNIT_NORM_TOL (Higham, section 3.1).
+    u32, u64, tol = Fraction(1, 2**24), Fraction(1, 2**53), Fraction(UNIT_NORM_TOL)
+    gamma32, gamma64 = (d * u / (1 - d * u) for u in (u32, u64))
+    margin = Fraction(dedup_core._screen_margin(d))
+    assert margin >= 2 * (gamma32 + gamma64) * (1 + tol) ** 2
+    # Never below the bound for unit rows, so the screen drops no pair it kept before.
+    assert margin >= 2 * (gamma32 + 2 * u32 + 2 * gamma64)
+
+
+@pytest.mark.parametrize("d", [2**24, 2**25])
+def test_screen_rejects_rows_too_long_to_certify(d):
+    with pytest.raises(InvalidArgumentError, match="2\\^24"):
+        dedup_core._screen_margin(d)
+    # Rejected before the rows are gathered: np.zeros leaves these 2 * d * 4 bytes untouched.
+    e = SimpleNamespace(data=np.zeros((2, d), dtype=np.float32), d=d)
+    with pytest.raises(InvalidArgumentError, match="2\\^24"):
+        dedup_cluster(e, np.array([0, 1]))
+
+
 def test_screen_sends_one_pair_per_point_to_float64(rng):
     # Without near ties only each point's float32 winner survives the final
     # cut, even at tile 1, where a point's best so far rises tile after tile.
     e = random_unit(rng, 200, 16)
     wide = e.data.astype(np.float64)
     winners = [int(np.argmax(wide[:i] @ wide[i])) for i in range(1, 200)]
+    margin = dedup_core._screen_margin(16)
     for tile in (1, 17, 1024):
-        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, tile)))
+        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, tile, margin)))
         assert np.array_equal(np.sort(later), np.arange(1, 200))
         assert np.array_equal(earlier[np.argsort(later)], winners)
 
@@ -209,7 +234,8 @@ def test_screen_holds_one_panel_of_candidates(rng):
     tracemalloc.start()
     try:
         sizes = []
-        for p, (later, earlier) in enumerate(dedup_core._screen(e.data, 4)):
+        screened = dedup_core._screen(e.data, 4, dedup_core._screen_margin(16))
+        for p, (later, earlier) in enumerate(screened):
             p0 = 1 + p * panel
             assert np.array_equal(np.unique(later), np.arange(p0, min(p0 + panel, m)))
             assert np.all(earlier < later)
