@@ -4,13 +4,16 @@ Work is split on a fixed grid decided by the caller; partial results are
 returned in grid order so any reduction the caller performs is ordered the
 same way no matter how many workers ran.
 
-``threads`` is the whole CPU budget of a pass: while ``map_ordered`` runs,
-numpy's bundled OpenBLAS runs single-threaded, on the serial path too, and
-the caller's OpenBLAS thread count is restored afterwards (nested and
-concurrent calls share one pin). The workers then keep ``threads`` cores
-busy instead of queueing on OpenBLAS's own pool, and no GEMM is split across
-OpenBLAS threads, so what ``fn`` computes depends on neither ``threads`` nor
-the machine's core count. Without a bundled OpenBLAS the count is left alone.
+``threads`` is the whole CPU budget of a pass, and ``map_ordered`` is the one
+place that resolves it: 0 means the CPUs this process may run on (its
+affinity mask, which taskset or a cpuset narrows), so every library
+``threads`` parameter accepts 0. While ``map_ordered`` runs, numpy's bundled
+OpenBLAS runs single-threaded, on the serial path too, and the caller's
+OpenBLAS thread count is restored afterwards (nested and concurrent calls
+share one pin). The workers then keep ``threads`` cores busy instead of
+queueing on OpenBLAS's own pool, and no GEMM is split across OpenBLAS
+threads, so what ``fn`` computes depends on neither ``threads`` nor the
+machine's core count. Without a bundled OpenBLAS the count is left alone.
 
 ``SCRATCH_BYTES`` is the memory budget beside it: a row-blocked loop takes as
 many rows as fit it (``budget_rows``) and allocates that scratch once per
@@ -39,9 +42,6 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
-THREADS_ENV_VAR = "SEMDEDUP_THREADS"
 # Symbol families of numpy's bundled OpenBLAS, newest wheels first.
 _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads")
@@ -59,19 +59,11 @@ _pin_saved = 0
 
 
 def resolve_threads(threads: int = 0) -> int:
-    """Turn a thread-count knob into a concrete worker count (0 = auto)."""
+    """``threads`` if positive, else the number of CPUs this process may run on."""
     if threads > 0:
         return threads
-    env = os.environ.get(THREADS_ENV_VAR, "")
-    if env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvalidArgumentError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-        if value < 0:
-            raise InvalidArgumentError(f"{THREADS_ENV_VAR}={env!r} must be >= 0 (0 = auto)")
-        if value > 0:
-            return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -133,12 +125,15 @@ def _blas_single_threaded():
 
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
-    """Apply ``fn`` to items, in parallel when threads > 1, preserving order.
+    """Apply ``fn`` to items on ``resolve_threads(threads)`` workers, preserving order.
 
-    OpenBLAS runs single-threaded until this returns or raises (see module docstring).
+    ``threads = 0`` means the CPUs this process may run on; one worker or one
+    item runs serially, without a pool. OpenBLAS runs single-threaded until this
+    returns or raises (see module docstring).
     """
+    threads = resolve_threads(threads)
     with _blas_single_threaded():
-        if threads <= 1 or len(items) <= 1:
+        if threads == 1 or len(items) <= 1:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))

@@ -12,7 +12,9 @@ Two passes over the clusters' pairs, one job each. The binning pass,
 ``threshold_pass``, judges each pair once at cosine >= 1 - epsilon: each
 cluster with itself, then each neighboring cluster pair. Its within-cluster
 hits give both eta's detected pairs and the points that have a duplicate, so
-the incidence and eta always agree on a pair's verdict. Each pass is one
+the incidence and eta always agree on a pair's verdict. ``dedup`` removes a
+point only above 1 - epsilon, so a pair exactly at 1 - epsilon counts towards
+eta and the incidence but removes nothing. Each pass is one
 ``map_ordered`` call over its tasks, and every cosine is a float64 entry of
 the similarity kernel ``dedup_core._panels``.
 """
@@ -94,7 +96,8 @@ def threshold_pass(
     The threshold pass: each cluster with itself, then each pair of clusters
     within one of the two's m nearest-centroid lists. A within-cluster hit
     counts towards eta's detected pairs and marks both its ends, so the
-    incidence is the share of marked points. ``m_neighbors`` may be 0
+    incidence is the share of marked points. A pair exactly at 1-epsilon counts
+    here, though ``dedup`` removes a point only above it. ``m_neighbors`` may be 0
     (mandatory when k == 1, where no neighbor clusters exist).
     """
     _check_epsilon(epsilon)

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import resolve_threads
 from .analysis_metrics import (
     DEFAULT_BINS,
     DEFAULT_NEIGHBORS,
@@ -85,7 +84,7 @@ _FLAG_OPTIONS = {
     "input_format": {"choices": ["binary", "text"]},
     "strategy": {"choices": [s.value for s in KeepStrategy]},
     "threads": {"help": "CPU budget of each pass, OpenBLAS included, but k-means seeding "
-                        "uses OpenBLAS's own threads (0 = $SEMDEDUP_THREADS or the CPU count)"},
+                        "uses OpenBLAS's own threads (0 = the CPUs this process may run on)"},
 }
 
 
@@ -200,8 +199,7 @@ def _emit(outdir: Path, cfg: PipelineConfig, files: dict) -> None:
 def cmd_cluster(args) -> int:
     cfg = _config_from(args)
     corpus = _load_corpus(cfg)
-    threads = resolve_threads(cfg.threads)
-    model = fit(corpus, cfg.k, cfg.kmeans_iterations, cfg.seed, threads=threads)
+    model = fit(corpus, cfg.k, cfg.kmeans_iterations, cfg.seed, threads=cfg.threads)
     trace = model.objective_trace
     logger.info(
         "clustered %d points into k=%d: training-sample objective %.6f -> %.6f over %d iterations",
@@ -216,20 +214,20 @@ def _tuning_dict(cfg: PipelineConfig, tuned) -> dict:
 
 
 def _inputs(cfg: PipelineConfig, model_path: str):
-    """The normalized corpus, its checked model and the resolved thread count."""
+    """The normalized corpus and its checked model."""
     corpus = _load_corpus(cfg)
     model = load_model(model_path)
     model.check_matches(corpus)
-    return corpus, model, resolve_threads(cfg.threads)
+    return corpus, model
 
 
 def cmd_dedup(args) -> int:
     cfg = _config_from(args)
     if cfg.epsilon is None and cfg.target_fraction is None:
         raise InvalidArgumentError("dedup requires epsilon or target_fraction")
-    corpus, model, threads = _inputs(cfg, args.model)
+    corpus, model = _inputs(cfg, args.model)
 
-    pmax = prefix_maxima(corpus, model, cfg.strategy, cfg.seed, cfg.tile, threads)
+    pmax = prefix_maxima(corpus, model, cfg.strategy, cfg.seed, cfg.tile, cfg.threads)
 
     tuned = None
     epsilon = cfg.epsilon
@@ -265,10 +263,10 @@ def cmd_tune(args) -> int:
     cfg = _config_from(args)
     if cfg.target_fraction is None:
         raise InvalidArgumentError("tune requires target_fraction")
-    corpus, model, threads = _inputs(cfg, args.model)
+    corpus, model = _inputs(cfg, args.model)
     sample = sample_clusters(model, cfg.sample_fraction, cfg.seed)
     tuned = tune_epsilon(corpus, model, sample, cfg.strategy, cfg.target_fraction, cfg.eps_lo,
-                         cfg.eps_hi, cfg.tol_fraction, cfg.max_probes, cfg.seed, cfg.tile, threads)
+                         cfg.eps_hi, cfg.tol_fraction, cfg.max_probes, cfg.seed, cfg.tile, cfg.threads)
     files = {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))}
     if args.csv:
         files["curve.csv"] = lambda p: _write_csv(p, "epsilon,kept_fraction", tuned.curve)
@@ -288,9 +286,9 @@ def cmd_sweep(args) -> int:
     if not all(0.0 < eps < 1.0 for eps in epsilons):
         raise InvalidArgumentError(f"sweep epsilons must lie in (0, 1), got {args.epsilons}")
     cfg = _config_from(args)
-    corpus, model, threads = _inputs(cfg, args.model)
+    corpus, model = _inputs(cfg, args.model)
     curve = size_curve(corpus, model, np.arange(model.k), cfg.strategy, epsilons,
-                       seed=cfg.seed, tile=cfg.tile, threads=threads)
+                       seed=cfg.seed, tile=cfg.tile, threads=cfg.threads)
     _emit(Path(cfg.output_dir), cfg,
           {"curve.csv": lambda p: _write_csv(p, "epsilon,kept_fraction", curve.points)})
     return EXIT_OK
@@ -324,15 +322,15 @@ def cmd_stats(args) -> int:
     epsilon, removed = _read_summary(args.summary)
     if cfg.epsilon is not None and cfg.epsilon != epsilon:
         raise InvalidArgumentError(f"epsilon {cfg.epsilon} differs from the summary's {epsilon}")
-    corpus, model, threads = _inputs(cfg, args.model)
+    corpus, model = _inputs(cfg, args.model)
     stats = per_cluster_stats(removed, model)  # one count per cluster, or exit 2
     for s in stats:
         if not 0 <= s.removed <= s.size:
             raise FormatError(f"{Path(args.summary)}: cluster {s.cluster} removed {s.removed} "
                               f"of its {s.size} points")
-    counts = similarity_histogram(corpus, model, cfg.histogram_bins, cfg.tile, threads)
+    counts = similarity_histogram(corpus, model, cfg.histogram_bins, cfg.tile, cfg.threads)
     m_eff = min(cfg.neighbors, model.k - 1)
-    eta, incidence = threshold_pass(corpus, model, epsilon, m_eff, cfg.tile, threads)
+    eta, incidence = threshold_pass(corpus, model, epsilon, m_eff, cfg.tile, cfg.threads)
     report = {
         "similarity_histogram": {"bins": cfg.histogram_bins, "counts": counts.tolist()},
         "duplicate_incidence": incidence,
@@ -366,9 +364,9 @@ def cmd_efficiency(args) -> int:
     cfg = _config_from(args)
     if cfg.epsilon is None:
         raise InvalidArgumentError("efficiency requires epsilon")
-    corpus, model, threads = _inputs(cfg, args.model)
+    corpus, model = _inputs(cfg, args.model)
     m_eff = min(cfg.neighbors, model.k - 1)
-    eta = dedup_efficiency(corpus, model, cfg.epsilon, m_eff, tile=cfg.tile, threads=threads)
+    eta = dedup_efficiency(corpus, model, cfg.epsilon, m_eff, tile=cfg.tile, threads=cfg.threads)
     print(json.dumps({"epsilon": cfg.epsilon, "m_neighbors": m_eff, "eta": eta}))
     return EXIT_OK
 

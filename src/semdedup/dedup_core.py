@@ -252,12 +252,14 @@ def prefix_maxima(
     The same for any ``threads`` and any OpenBLAS thread count: the sweep runs
     inside ``map_ordered``, which holds OpenBLAS at one thread. Every other
     row, singletons included, reads 0 and is kept at any epsilon. Cluster ids
-    that are not integers, lie outside [0, k) or repeat raise
-    InvalidArgumentError before any sweep.
+    that do not form a 1-D array, are not integers, lie outside [0, k) or
+    repeat raise InvalidArgumentError before any sweep.
     """
     model.check_matches(e)
     strategy = KeepStrategy.parse(strategy)
     _check_tile(tile)
+    if clusters is not None and np.ndim(clusters) != 1:
+        raise InvalidArgumentError(f"cluster ids must form a 1-D array, got shape {np.shape(clusters)}")
     # Checked in Python: np.unique's first call alone adds about 1.6 MiB to a command's peak RSS.
     ids = range(model.k) if clusters is None else np.asarray(clusters).tolist()
     if len(set(ids)) != len(ids) or not all(type(c) is int and 0 <= c < model.k for c in ids):

@@ -147,10 +147,10 @@ def test_oversized_headers_exit_format(tmp_path, corpus_file):
     assert not (tmp_path / "out").exists()
 
 
-def test_malformed_threads_env_exit_validation(tmp_path, corpus_file, monkeypatch):
-    for value in ("abc", "-3"):
-        monkeypatch.setenv("SEMDEDUP_THREADS", value)
-        assert run_cluster(corpus_file, tmp_path / "out") == EXIT_VALIDATION
+def test_threads_come_from_no_environment_variable(tmp_path, corpus_file, monkeypatch):
+    # Older releases read this variable; a stray value left in a shell must not stop a run.
+    monkeypatch.setenv("SEMDEDUP_THREADS", "abc")
+    assert run_cluster(corpus_file, tmp_path / "out") == 0
 
 
 def test_intersect_malformed_keep_list_exit_format(tmp_path):

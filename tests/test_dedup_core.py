@@ -385,7 +385,8 @@ def test_prefix_maxima_rejects_bad_cluster_ids_before_any_sweep(rng, monkeypatch
 
     monkeypatch.setattr(dedup_core, "dedup_cluster", counted)
     low = KeepStrategy.LOW_CENTROID_SIM
-    for clusters in ([-1], [model.k], [0, 0], [2, 0, 2], [0.5]):
+    not_1d = (1, np.int64(2), [[0, 1]], np.zeros((0, 2), dtype=int))
+    for clusters in ([-1], [model.k], [0, 0], [2, 0, 2], [0.5], *not_1d):
         with pytest.raises(InvalidArgumentError):
             prefix_maxima(e, model, low, 0, clusters=clusters)
     assert sweeps == []

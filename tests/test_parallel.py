@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import semdedup
 from semdedup import _parallel
-from semdedup._parallel import map_ordered
+from semdedup._parallel import map_ordered, resolve_threads
 from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
 from semdedup.dedup_core import KeepStrategy, prefix_maxima
 from semdedup.embedding_store import normalize_rows, write_embeddings
@@ -125,6 +126,35 @@ def test_map_ordered_without_blas_library(monkeypatch):
     monkeypatch.setattr(_parallel, "_blas", lookup)
     for threads in (1, 3):
         assert map_ordered(lambda x: x * x, range(5), threads) == [0, 1, 4, 9, 16]
+
+
+def test_resolve_threads_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert resolve_threads(0) == 1
+    assert resolve_threads(5) == 5
+
+
+def test_resolve_threads_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    assert resolve_threads(0) == 3
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    assert resolve_threads(0) == 1
+
+
+@pytest.mark.parametrize("cpus, pools", [({0, 1}, [2]), ({5}, [])])
+def test_map_ordered_resolves_zero_threads(monkeypatch, cpus, pools):
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    opened = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Recording)
+    assert map_ordered(lambda x: x * x, range(5), 0) == [0, 1, 4, 9, 16]
+    assert opened == pools
 
 
 def test_setup_does_not_resolve_blas(tmp_path, rng):
