@@ -6,14 +6,14 @@ same way no matter how many workers ran.
 
 ``threads`` is the whole CPU budget of a pass, and ``map_ordered`` is the one
 place that resolves it: 0 means the CPUs this process may run on (its
-affinity mask, which taskset or a cpuset narrows), so every library
-``threads`` parameter accepts 0. While ``map_ordered`` runs, numpy's bundled
-OpenBLAS runs single-threaded, on the serial path too, and the caller's
-OpenBLAS thread count is restored afterwards (nested and concurrent calls
-share one pin). The workers then keep ``threads`` cores busy instead of
-queueing on OpenBLAS's own pool, and no GEMM is split across OpenBLAS
-threads, so what ``fn`` computes depends on neither ``threads`` nor the
-machine's core count. Without a bundled OpenBLAS the count is left alone.
+affinity mask, which taskset or a cpuset narrows) and a negative count is an
+error, in every library ``threads`` parameter. While ``map_ordered`` runs,
+numpy's bundled OpenBLAS runs single-threaded, on the serial path too, and
+the caller's OpenBLAS thread count is restored afterwards (nested and
+concurrent calls share one pin). The workers then keep ``threads`` cores busy
+instead of queueing on OpenBLAS's own pool, and no GEMM is split across
+OpenBLAS threads, so what ``fn`` computes depends on neither ``threads`` nor
+the machine's core count. Without a bundled OpenBLAS the count is left alone.
 
 ``SCRATCH_BYTES`` is the memory budget beside it: a row-blocked loop takes as
 many rows as fit it (``budget_rows``) and allocates that scratch once per
@@ -42,6 +42,8 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # Symbol families of numpy's bundled OpenBLAS, newest wheels first.
 _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads")
@@ -59,7 +61,9 @@ _pin_saved = 0
 
 
 def resolve_threads(threads: int = 0) -> int:
-    """``threads`` if positive, else the number of CPUs this process may run on."""
+    """``threads`` if positive, for 0 the CPUs this process may run on; below 0 an error."""
+    if threads < 0:
+        raise InvalidArgumentError(f"threads must be >= 0 (0 = auto), got {threads}")
     if threads > 0:
         return threads
     if hasattr(os, "sched_getaffinity"):
@@ -127,9 +131,9 @@ def _blas_single_threaded():
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
     """Apply ``fn`` to items on ``resolve_threads(threads)`` workers, preserving order.
 
-    ``threads = 0`` means the CPUs this process may run on; one worker or one
-    item runs serially, without a pool. OpenBLAS runs single-threaded until this
-    returns or raises (see module docstring).
+    ``threads = 0`` means the CPUs this process may run on; a negative count
+    raises InvalidArgumentError before ``fn`` runs. One worker or one item runs
+    serially, without a pool. OpenBLAS runs single-threaded until this returns.
     """
     threads = resolve_threads(threads)
     with _blas_single_threaded():

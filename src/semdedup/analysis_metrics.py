@@ -30,7 +30,7 @@ from ._parallel import budget_rows, chunk_ranges, map_ordered
 from .dedup_core import DEFAULT_TILE, _check_epsilon, _panels
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
-from .spherical_kmeans import KMeansModel, nearest_clusters
+from .spherical_kmeans import KMeansModel, _nearest
 
 DEFAULT_BINS = 200
 DEFAULT_NEIGHBORS = 20
@@ -106,8 +106,9 @@ def threshold_pass(
         raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
     model.check_matches(e)
     threshold = 1.0 - epsilon
+    cents64 = model.centroids.astype(np.float64)
     pairs = {tuple(sorted((c, int(b)))) for c in range(k) if m_neighbors
-             for b in nearest_clusters(model, c, m_neighbors)}
+             for b in _nearest(cents64, c, m_neighbors)}
     tasks = [(c, c) for c in range(k)] + sorted(pairs)
     near = np.zeros(e.n, dtype=bool)
 

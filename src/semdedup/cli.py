@@ -2,10 +2,10 @@
 
 Subcommands: cluster, dedup, tune, sweep, stats, intersect, efficiency,
 synth; each binds its handler, which takes the parsed arguments. The run
-options are the fields of ``PipelineConfig``: each field is one flag and one
-config-file key, read from a JSON config file plus flag overrides, and the
-effective config is copied next to the results so every run is reproducible.
-Inputs are fully validated before any output file is created.
+options, the fields of ``PipelineConfig``, are the files, the CPU budget and
+settings that can change a result; each is one flag and one config-file key
+(flags override the file). The effective config is copied next to the
+results, so every run is reproducible. Inputs are validated before any output.
 
 Exit codes: 0 success, 2 validation error, 3 format error, 4 data error,
 5 tuner did not converge: the rows the command tunes on (every point for
@@ -23,9 +23,11 @@ import logging
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
+from ._parallel import resolve_threads
 from .analysis_metrics import (
     DEFAULT_BINS,
     DEFAULT_NEIGHBORS,
@@ -92,10 +94,13 @@ _FLAG_OPTIONS = {
 class PipelineConfig:
     """Run parameters; at most one of epsilon / target_fraction may be set.
 
+    Besides the files (input, input_format, output_dir) and the CPU budget
+    (threads), each field can change a result, except ``max_probes``: it bounds
+    nothing since the tuner became exact, but is still accepted and validated.
     Commands that read a threshold check for theirs: dedup needs one of the
-    two, tune a target fraction, efficiency an epsilon. ``sample_fraction``
-    steers tune only. ``max_probes`` bounds nothing since the tuner became
-    exact; it is still accepted and validated.
+    two, tune a target fraction (and alone reads ``sample_fraction``),
+    efficiency an epsilon. The tile of the similarity sweeps, which changes no
+    keep set, is not an option.
     """
 
     input: str = ""
@@ -110,7 +115,8 @@ class PipelineConfig:
     neighbors: int = DEFAULT_NEIGHBORS
     output_dir: str = "semdedup_out"
     threads: int = 0
-    tile: int = DEFAULT_TILE
+    # Not an option (see above), but perfbench/tracing.py reads it.
+    tile: ClassVar[int] = DEFAULT_TILE
     eps_lo: float = 1e-4
     eps_hi: float = 0.5
     tol_fraction: float = DEFAULT_TOL_FRACTION
@@ -136,10 +142,7 @@ class PipelineConfig:
             raise InvalidArgumentError("kmeans_iterations must be >= 1")
         if self.neighbors < 0:
             raise InvalidArgumentError("neighbors must be >= 0")
-        if self.threads < 0:
-            raise InvalidArgumentError("threads must be >= 0 (0 = auto)")
-        if self.tile < 1:
-            raise InvalidArgumentError("tile must be >= 1")
+        resolve_threads(self.threads)  # rejects a negative count
         check_search(self.eps_lo, self.eps_hi, self.tol_fraction, self.max_probes)
         if self.histogram_bins < 2:
             raise InvalidArgumentError("histogram_bins must be >= 2")
@@ -188,8 +191,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _emit(outdir: Path, cfg: PipelineConfig, files: dict) -> None:
+def _emit(cfg: PipelineConfig, files: dict) -> None:
     """Write every artifact plus the effective config, creating the dir late."""
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, writer in files.items():
         writer(outdir / name)
@@ -205,7 +209,7 @@ def cmd_cluster(args) -> int:
         "clustered %d points into k=%d: training-sample objective %.6f -> %.6f over %d iterations",
         corpus.n, cfg.k, trace[0], trace[-1], len(trace),
     )
-    _emit(Path(cfg.output_dir), cfg, {"model.semk": lambda p: save_model(model, p)})
+    _emit(cfg, {"model.semk": lambda p: save_model(model, p)})
     return EXIT_OK
 
 
@@ -227,7 +231,7 @@ def cmd_dedup(args) -> int:
         raise InvalidArgumentError("dedup requires epsilon or target_fraction")
     corpus, model = _inputs(cfg, args.model)
 
-    pmax = prefix_maxima(corpus, model, cfg.strategy, cfg.seed, cfg.tile, cfg.threads)
+    pmax = prefix_maxima(corpus, model, cfg.strategy, cfg.seed, threads=cfg.threads)
 
     tuned = None
     epsilon = cfg.epsilon
@@ -237,7 +241,7 @@ def cmd_dedup(args) -> int:
         logger.info("tuned epsilon=%.6g (kept fraction %.4f, %d probes, converged=%s)",
                     tuned.epsilon, tuned.achieved_fraction, tuned.probes, tuned.converged)
 
-    dedup_cfg = DedupConfig(epsilon=epsilon, strategy=cfg.strategy, seed=cfg.seed, tile=cfg.tile)
+    dedup_cfg = DedupConfig(epsilon=epsilon, strategy=cfg.strategy, seed=cfg.seed)
     result = threshold(pmax, epsilon, model)
     logger.info(
         "kept %d / %d points (%.4f) using %d comparisons",
@@ -248,14 +252,8 @@ def cmd_dedup(args) -> int:
     if tuned is not None:
         summary["tuning"] = _tuning_dict(cfg, tuned)
     ids = kept_ids(corpus, result)
-    _emit(
-        Path(cfg.output_dir),
-        cfg,
-        {
-            "keep.txt": lambda p: write_keep_list(p, ids),
-            "summary.json": lambda p: _write_json(p, summary),
-        },
-    )
+    _emit(cfg, {"keep.txt": lambda p: write_keep_list(p, ids),
+                "summary.json": lambda p: _write_json(p, summary)})
     return EXIT_NOT_CONVERGED if tuned is not None and not tuned.converged else EXIT_OK
 
 
@@ -266,11 +264,8 @@ def cmd_tune(args) -> int:
     corpus, model = _inputs(cfg, args.model)
     sample = sample_clusters(model, cfg.sample_fraction, cfg.seed)
     tuned = tune_epsilon(corpus, model, sample, cfg.strategy, cfg.target_fraction, cfg.eps_lo,
-                         cfg.eps_hi, cfg.tol_fraction, cfg.max_probes, cfg.seed, cfg.tile, cfg.threads)
-    files = {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))}
-    if args.csv:
-        files["curve.csv"] = lambda p: _write_csv(p, "epsilon,kept_fraction", tuned.curve)
-    _emit(Path(cfg.output_dir), cfg, files)
+                         cfg.eps_hi, cfg.tol_fraction, cfg.max_probes, cfg.seed, threads=cfg.threads)
+    _emit(cfg, {"tune.json": lambda p: _write_json(p, _tuning_dict(cfg, tuned))})
     return EXIT_OK if tuned.converged else EXIT_NOT_CONVERGED
 
 
@@ -288,9 +283,8 @@ def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     corpus, model = _inputs(cfg, args.model)
     curve = size_curve(corpus, model, np.arange(model.k), cfg.strategy, epsilons,
-                       seed=cfg.seed, tile=cfg.tile, threads=cfg.threads)
-    _emit(Path(cfg.output_dir), cfg,
-          {"curve.csv": lambda p: _write_csv(p, "epsilon,kept_fraction", curve.points)})
+                       seed=cfg.seed, threads=cfg.threads)
+    _emit(cfg, {"curve.csv": lambda p: _write_csv(p, "epsilon,kept_fraction", curve.points)})
     return EXIT_OK
 
 
@@ -328,9 +322,9 @@ def cmd_stats(args) -> int:
         if not 0 <= s.removed <= s.size:
             raise FormatError(f"{Path(args.summary)}: cluster {s.cluster} removed {s.removed} "
                               f"of its {s.size} points")
-    counts = similarity_histogram(corpus, model, cfg.histogram_bins, cfg.tile, cfg.threads)
+    counts = similarity_histogram(corpus, model, cfg.histogram_bins, threads=cfg.threads)
     m_eff = min(cfg.neighbors, model.k - 1)
-    eta, incidence = threshold_pass(corpus, model, epsilon, m_eff, cfg.tile, cfg.threads)
+    eta, incidence = threshold_pass(corpus, model, epsilon, m_eff, threads=cfg.threads)
     report = {
         "similarity_histogram": {"bins": cfg.histogram_bins, "counts": counts.tolist()},
         "duplicate_incidence": incidence,
@@ -340,7 +334,6 @@ def cmd_stats(args) -> int:
     logger.info("duplicate incidence %.4f, eta %.2f%%", incidence, eta)
     edges = histogram_bin_edges(cfg.histogram_bins)
     _emit(
-        Path(cfg.output_dir),
         cfg,
         {
             "stats.json": lambda p: _write_json(p, report),
@@ -366,7 +359,7 @@ def cmd_efficiency(args) -> int:
         raise InvalidArgumentError("efficiency requires epsilon")
     corpus, model = _inputs(cfg, args.model)
     m_eff = min(cfg.neighbors, model.k - 1)
-    eta = dedup_efficiency(corpus, model, cfg.epsilon, m_eff, tile=cfg.tile, threads=cfg.threads)
+    eta = dedup_efficiency(corpus, model, cfg.epsilon, m_eff, threads=cfg.threads)
     print(json.dumps({"epsilon": cfg.epsilon, "m_neighbors": m_eff, "eta": eta}))
     return EXIT_OK
 
@@ -415,36 +408,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str, config: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, run, help: str, config: bool = True,
+                model: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         if config:
             _add_config_flags(p)
+        if model:
+            p.add_argument("--model", required=True, help="path to a model file")
         return p
 
     command("cluster", cmd_cluster, "fit a spherical k-means model")
+    command("dedup", cmd_dedup, "deduplicate using a fitted model", model=True)
+    command("tune", cmd_tune, "estimate epsilon for a target kept fraction", model=True)
 
-    p = command("dedup", cmd_dedup, "deduplicate using a fitted model")
-    p.add_argument("--model", required=True, help="path to a model file")
-
-    p = command("tune", cmd_tune, "estimate epsilon for a target kept fraction")
-    p.add_argument("--model", required=True)
-    p.add_argument("--csv", action="store_true", help="also write the probe curve as CSV")
-
-    p = command("sweep", cmd_sweep, "kept fraction across an epsilon grid")
-    p.add_argument("--model", required=True)
+    p = command("sweep", cmd_sweep, "kept fraction across an epsilon grid", model=True)
     p.add_argument("--epsilons", required=True, help="comma-separated increasing thresholds")
 
-    p = command("stats", cmd_stats, "redundancy metrics for a finished run")
-    p.add_argument("--model", required=True)
+    p = command("stats", cmd_stats, "redundancy metrics for a finished run", model=True)
     p.add_argument("--summary", required=True, help="summary.json from the dedup run")
 
     p = command("intersect", cmd_intersect, "intersection %% of two keep-lists", config=False)
     p.add_argument("keep_a")
     p.add_argument("keep_b")
 
-    p = command("efficiency", cmd_efficiency, "duplicate-detection efficiency eta")
-    p.add_argument("--model", required=True)
+    command("efficiency", cmd_efficiency, "duplicate-detection efficiency eta", model=True)
 
     p = command("synth", cmd_synth, "generate a planted-duplicate corpus", config=False)
     p.add_argument("--groups", type=int, required=True)

@@ -333,8 +333,12 @@ def nearest_clusters(model: KMeansModel, c: int, m: int) -> np.ndarray:
         raise InvalidArgumentError(f"cluster index {c} out of range [0,{k})")
     if m < 1 or m >= k:
         raise InvalidArgumentError(f"m={m} must be in [1, k-1]={k - 1}")
-    cents = model.centroids.astype(np.float64)
-    sims = cents @ cents[c]
+    return _nearest(model.centroids.astype(np.float64), c, m)
+
+
+def _nearest(cents64: np.ndarray, c: int, m: int) -> np.ndarray:
+    """``nearest_clusters`` on float64 centroids, unchecked, so callers cast once."""
+    sims = cents64 @ cents64[c]
     sims[c] = -np.inf
     order = np.argsort(-sims, kind="stable")
     return order[:m].astype(np.int64)

@@ -330,8 +330,9 @@ def test_config_malformed_exit_validation(tmp_path, corpus_file, caplog):
     config.write_text(json.dumps(base))
     assert main(["cluster", "--config", str(config)]) == 0
     shutil.rmtree(out)
-    bad = ({"k": "four"}, {"tile": 0}, {"eps_lo": 0.6, "eps_hi": 0.5}, {"tol_fraction": 0.0},
-           {"tol_fraction": float("nan")}, {"max_probes": 0}, {"histogram_bins": 1})
+    bad = ({"k": "four"}, {"tile": 0}, {"threads": -1}, {"eps_lo": 0.6, "eps_hi": 0.5},
+           {"tol_fraction": 0.0}, {"tol_fraction": float("nan")}, {"max_probes": 0},
+           {"histogram_bins": 1})
     for text in ("{not json", *(json.dumps({**base, **values}) for values in bad)):
         config.write_text(text)
         caplog.clear()
@@ -422,7 +423,6 @@ EVERY_OPTION = (
     ("--sample-fraction", "sample_fraction", 0.5),
     ("--neighbors", "neighbors", 2),
     ("--threads", "threads", 2),
-    ("--tile", "tile", 64),
     ("--eps-lo", "eps_lo", 0.01),
     ("--eps-hi", "eps_hi", 0.4),
     ("--tol-fraction", "tol_fraction", 0.05),
@@ -464,6 +464,22 @@ def test_unknown_config_key_rejected(tmp_path, corpus_file):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"input": str(corpus_file), "epsilon": 0.1, "bogus": 1}))
     assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
+
+
+def test_tile_is_neither_a_flag_nor_a_config_key(tmp_path, corpus_file, caplog):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cluster(corpus_file, out, extra=("--tile", "64"))
+    assert exc.value.code == EXIT_VALIDATION
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(corpus_file), "k": 2, "tile": 64,
+                                  "output_dir": str(out)}))
+    assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
+    assert "tile" in caplog.records[-1].message
+    assert not out.exists()
+    assert run_cluster(corpus_file, out) == 0
+    assert "tile" not in json.loads((out / "config.json").read_text())
+    assert PipelineConfig().tile == dedup_core.DEFAULT_TILE
 
 
 def test_dedup_with_target_fraction_tunes(tmp_path, step_corpus_file):
@@ -543,14 +559,19 @@ def test_tune_subcommand_writes_curve(tmp_path, step_corpus_file):
         "tune", "--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
         "--target-fraction", "0.86", "--sample-fraction", "1.0",
         "--eps-lo", "0.001", "--eps-hi", "0.2",
-        "--output-dir", str(outdir), "--csv",
+        "--output-dir", str(outdir),
     ]) == 0
     tune = json.loads((outdir / "tune.json").read_text())
     assert tune["converged"]
     assert tune["probes"] <= 8
-    lines = (outdir / "curve.csv").read_text().strip().splitlines()
-    assert lines[0] == "epsilon,kept_fraction"
-    assert len(lines) == tune["probes"] + 1
+    epsilons = [eps for eps, _ in tune["curve"]]
+    assert len(epsilons) == tune["probes"]
+    assert all(a < b for a, b in zip(epsilons, epsilons[1:]))
+    assert not (outdir / "curve.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--input", str(step_corpus_file), "--model", str(outdir / "model.semk"),
+              "--target-fraction", "0.86", "--output-dir", str(outdir), "--csv"])
+    assert exc.value.code == EXIT_VALIDATION
 
 
 def test_tune_not_converged_exit_code(tmp_path):

@@ -16,6 +16,7 @@ from semdedup._parallel import map_ordered, resolve_threads
 from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
 from semdedup.dedup_core import KeepStrategy, prefix_maxima
 from semdedup.embedding_store import normalize_rows, write_embeddings
+from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
 
@@ -142,19 +143,38 @@ def test_resolve_threads_without_an_affinity_mask(monkeypatch):
     assert resolve_threads(0) == 1
 
 
-@pytest.mark.parametrize("cpus, pools", [({0, 1}, [2]), ({5}, [])])
-def test_map_ordered_resolves_zero_threads(monkeypatch, cpus, pools):
-    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    opened = []
+@pytest.fixture
+def opened(monkeypatch):
+    """The worker count of each pool ``map_ordered`` opens during the test."""
+    counts = []
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, max_workers):
-            opened.append(max_workers)
+            counts.append(max_workers)
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Recording)
+    return counts
+
+
+@pytest.mark.parametrize("cpus, pools", [({0, 1}, [2]), ({5}, [])])
+def test_map_ordered_resolves_zero_threads(monkeypatch, opened, cpus, pools):
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     assert map_ordered(lambda x: x * x, range(5), 0) == [0, 1, 4, 9, 16]
     assert opened == pools
+
+
+def test_map_ordered_rejects_negative_threads(opened):
+    called = []
+    with pytest.raises(InvalidArgumentError):
+        map_ordered(called.append, [1, 2], -1)
+    assert called == [] and opened == []
+
+
+def test_prefix_maxima_rejects_negative_threads(planted):
+    e, model = planted
+    with pytest.raises(InvalidArgumentError):
+        prefix_maxima(e, model, KeepStrategy.LOW_CENTROID_SIM, 4, threads=-1)
 
 
 def test_setup_does_not_resolve_blas(tmp_path, rng):
