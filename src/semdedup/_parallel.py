@@ -23,9 +23,10 @@ command's peak memory is then the interpreter, plus one normalized corpus
 256k * d * 4 bytes when n > 256k and its init sample of
 min(n, 256k, max(16384, 4k)) * d * 8 bytes, plus per worker thread the rows of
 the cluster at hand, the budget, and one similarity panel of 256 * tile
-entries with a 64 KiB mask: float32 (1 MiB by default) for the prefix maxima,
-with that panel's candidate pairs (20 bytes each, about 1.2 per point; a point
-with c exact copies before it has c), or float64 (2 MiB) for the metrics, with
+entries with a 64 KiB mask: float32 (1 MiB by default) for the prefix maxima
+and the threshold pass, with that panel's candidate pairs (20 bytes each, about
+1.2 per point; c for a point with c exact copies before it) or one block's band
+pairs (about 32 bytes each), or float64 (2 MiB) for the histogram alone, with
 float64 casts of at most 256 and at most tile rows.
 """
 

@@ -7,16 +7,15 @@ between two equal-size keep-sets, and the detection-efficiency percentage
 (share of threshold pairs found within clusters out of all threshold pairs
 in the neighbor-cluster-approximated universe).
 
-Two passes over the clusters' pairs, one job each. The binning pass,
-``similarity_histogram``, takes no epsilon. The threshold pass,
-``threshold_pass``, judges each pair once at cosine >= 1 - epsilon: each
-cluster with itself, then each neighboring cluster pair. Its within-cluster
-hits give both eta's detected pairs and the points that have a duplicate, so
-the incidence and eta always agree on a pair's verdict. ``dedup`` removes a
-point only above 1 - epsilon, so a pair exactly at 1 - epsilon counts towards
-eta and the incidence but removes nothing. Each pass is one
-``map_ordered`` call over its tasks, and every cosine is a float64 entry of
-the similarity kernel ``dedup_core._panels``.
+Two passes over the clusters' pairs, each one ``map_ordered`` call. The
+binning pass, ``similarity_histogram``, takes no epsilon and bins float64
+entries of ``dedup_core._panels``. The threshold pass, ``threshold_pass``,
+judges each pair once at cosine >= 1 - epsilon on the float64 row-wise dot
+pmax is made of, ``dedup_core._dots``, read only where a float32 panel score
+lies within ``_screen_margin`` of 1 - epsilon; no tile, thread count or BLAS
+changes a verdict. Within-cluster hits give both eta's detected pairs and the
+points that have a duplicate, so the two agree on every verdict, and every
+point ``dedup`` removes at epsilon is marked.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from ._parallel import budget_rows, chunk_ranges, map_ordered
-from .dedup_core import DEFAULT_TILE, _check_epsilon, _panels
+from .dedup_core import DEFAULT_TILE, _check_epsilon, _dots, _panels, _screen_margin
 from .embedding_store import UnitEmbeddingMatrix
 from .errors import InvalidArgumentError
 from .spherical_kmeans import KMeansModel, _nearest
@@ -94,18 +93,20 @@ def threshold_pass(
     """``(eta, incidence)`` from one verdict per pair at cosine >= 1-epsilon.
 
     The threshold pass: each cluster with itself, then each pair of clusters
-    within one of the two's m nearest-centroid lists. A within-cluster hit
-    counts towards eta's detected pairs and marks both its ends, so the
-    incidence is the share of marked points. A pair exactly at 1-epsilon counts
-    here, though ``dedup`` removes a point only above it. ``m_neighbors`` may be 0
-    (mandatory when k == 1, where no neighbor clusters exist).
+    within one of the two's m nearest-centroid lists (0 <= m < k). A
+    within-cluster hit counts towards eta's detected pairs and marks both its
+    ends, so the incidence covers every point ``dedup`` removes at epsilon; a
+    pair exactly at 1-epsilon marks but removes nothing. No verdict depends on
+    tile, threads or BLAS, though eta's neighbor lists come from a float64 GEMV.
     """
     _check_epsilon(epsilon)
     k = model.k
     if m_neighbors < 0 or m_neighbors >= max(k, 1):
         raise InvalidArgumentError(f"m_neighbors={m_neighbors} must be in [0, k-1]={k - 1}")
     model.check_matches(e)
-    threshold = 1.0 - epsilon
+    threshold, margin = 1.0 - epsilon, _screen_margin(e.d)
+    sure = np.nextafter(np.float32(threshold + margin), np.float32(np.inf))
+    below = np.nextafter(np.float32(threshold - margin), np.float32(-np.inf))  # both rounded outwards
     cents64 = model.centroids.astype(np.float64)
     pairs = {tuple(sorted((c, int(b)))) for c in range(k) if m_neighbors
              for b in _nearest(cents64, c, m_neighbors)}
@@ -115,16 +116,17 @@ def threshold_pass(
     def count(task: tuple[int, int]) -> int:
         a, b = task
         rows = e.data[model.members[a]]
-        if a != b:
-            panels = _panels(rows, e.data[model.members[b]], tile=tile, dtype=np.float64)
-            return sum(int(np.count_nonzero(sims >= threshold)) for _, _, sims in panels)
-        hits, marked = 0, np.zeros(rows.shape[0], dtype=bool)
-        for i0, j0, sims in _panels(rows, tile=tile, dtype=np.float64):
-            hit = sims >= threshold
+        cols = rows if a == b else e.data[model.members[b]]
+        hits = 0
+        for i0, j0, sims in _panels(rows, None if a == b else cols, tile=tile, dtype=np.float32):
+            hit = sims >= sure
+            band = np.flatnonzero(np.not_equal(sims >= below, hit))
+            i, j = np.divmod(band, sims.shape[1])
+            hit.ravel()[band[_dots(rows, cols, i0 + i, j0 + j) >= threshold]] = True
             hits += int(np.count_nonzero(hit))
-            marked[i0:i0 + hit.shape[0]] |= hit.any(axis=1)
-            marked[j0:j0 + hit.shape[1]] |= hit.any(axis=0)
-        near[model.members[a]] = marked  # tasks own disjoint rows
+            if a == b:  # tasks own disjoint rows
+                near[model.members[a][i0:i0 + hit.shape[0]][hit.any(axis=1)]] = True
+                near[model.members[a][j0:j0 + hit.shape[1]][hit.any(axis=0)]] = True
         return hits
 
     counts = map_ordered(count, tasks, threads)

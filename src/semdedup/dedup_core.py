@@ -13,19 +13,18 @@ sweeps clusters, and dedup, tuner and sweep threshold its row-aligned result.
 It looks ``order_cluster`` and ``dedup_cluster`` up through this module once
 per cluster of two or more members, so a caller can wrap them to time each
 cluster; that is why ``dedup_cluster`` keeps its name though it returns maxima.
-A pmax is the float64 row-wise dot of the point's winning pair: float32 panel
-GEMMs only screen for candidate winners (``_screen``), and float64 decides
-each value. So pmax depends on neither ``tile`` nor the thread count nor BLAS.
+``_dots``, the float64 row-wise dot, is the number every verdict and keep key
+is made on: a pmax is its winning pair's, found by a float32 screen
+(``_screen``), so no tile, thread count or BLAS changes a pmax or an order.
 
-Every similarity product here and in ``analysis_metrics`` (not the oracle)
-comes from one kernel, ``_panels``: panels of at most 256 rows of ``a``
-against at most ``tile`` rows of ``b``, each one ``gemm`` in the dtype the
-caller passes (float32 for the screen, float64 for the metrics). Given ``b``
-they cover every (row of a, row of b) pair once; without it, each unordered
-pair within ``a`` once, as (later, earlier), with entries on or after the
-diagonal -inf. Rows of another dtype are cast a panel or block at a time into
-buffers made once per call. ``tile`` changes speed and memory, and a cosine
-only within rounding.
+Every similarity panel here and in ``analysis_metrics`` comes from one kernel,
+``_panels``: panels of at most 256 rows of ``a`` against at most ``tile`` rows
+of ``b``, each one ``gemm`` in the dtype the caller passes (float32 for the
+screens, float64 for the histogram). Given ``b`` they cover every (row of a,
+row of b) pair once; without it, each unordered pair within ``a`` once, as
+(later, earlier), with entries on or after the diagonal -inf. Rows of another
+dtype are cast a panel or block at a time into buffers made once per call.
+``tile`` changes speed and memory, and a panel entry only within rounding.
 """
 
 from __future__ import annotations
@@ -129,13 +128,18 @@ def order_cluster(
         key = hashed_uniform(seed, _TAG_ORDER, ids)
     else:
         # Row by row: one GEMV would round a row's dot product by its position.
-        centroid = np.asarray(centroid, dtype=np.float64)
-        key = np.empty(members.size)
-        for lo, hi in chunk_ranges(members.size, budget_rows(12 * e.d)):
-            key[lo:hi] = np.einsum("ij,j->i", e.data[members[lo:hi]].astype(np.float64), centroid)
+        key = _dots(e.data, np.asarray(centroid)[None], members, np.zeros_like(members))
         if strategy is KeepStrategy.HIGH_CENTROID_SIM:
             key = -key
     return members[np.lexsort((ids, key))]
+
+
+def _dots(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Float64 row-wise dots of ``a[i]`` and ``b[j]``, ``budget_rows`` pairs at a time."""
+    out = np.empty(len(i))
+    for lo, hi in chunk_ranges(len(i), budget_rows(24 * a.shape[1])):
+        out[lo:hi] = np.einsum("ij,ij->i", a[i[lo:hi]].astype(np.float64), b[j[lo:hi]].astype(np.float64))
+    return out
 
 
 def _panels(a: np.ndarray, b: np.ndarray | None = None, *, tile: int, dtype: type):
@@ -226,10 +230,7 @@ def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAU
     rows = e.data[ordered]
     prefix = np.zeros(len(ordered))
     for later, earlier in _screen(rows, tile, margin):
-        for lo, hi in chunk_ranges(later.size, budget_rows(24 * e.d)):
-            dots = np.einsum("ij,ij->i", rows[later[lo:hi]].astype(np.float64),
-                             rows[earlier[lo:hi]].astype(np.float64))
-            np.maximum.at(prefix, later[lo:hi], dots)
+        np.maximum.at(prefix, later, _dots(rows, rows, later, earlier))
     return prefix
 
 

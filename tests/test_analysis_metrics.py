@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from semdedup.analysis_metrics import (
     similarity_histogram,
     threshold_pass,
 )
-from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, prefix_maxima
+from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, prefix_maxima, threshold
 from semdedup.errors import InvalidArgumentError
 from semdedup.oracle import brute_force_duplicate_pairs, generate_planted
 from semdedup.embedding_store import normalize_rows
@@ -180,6 +181,42 @@ def test_incidence_bins_nothing(monkeypatch):
     assert calls  # the counter sees the binning pass
 
 
+def test_threshold_pass_reads_float32_panels_and_only_the_histogram_float64(monkeypatch, rng):
+    e = random_unit(rng, 700, 8)
+    model = block_model(e, 400)
+    dtypes = []
+    original = analysis_metrics._panels
+
+    def recorded(*args, **kwargs):
+        dtypes.append(kwargs["dtype"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_metrics, "_panels", recorded)
+    duplicate_incidence(e, model, 0.3)
+    dedup_efficiency(e, model, 0.3, m_neighbors=1)
+    assert dtypes == [np.float32] * 5  # two clusters, then the same two and their pair
+    dtypes.clear()
+    similarity_histogram(e, model)
+    assert dtypes == [np.float64] * 2
+
+
+def test_pairs_clear_of_the_margin_reach_no_dots(monkeypatch):
+    # Every cosine of the 3,000-row cluster is above 0.99, far above 1 - 0.05
+    # plus the margin, so each pair is a hit on its float32 score alone.
+    local = np.random.default_rng(3)
+    e = unit_rows(local.standard_normal(32) + 1e-3 * local.standard_normal((3000, 32)))
+    sent = []
+    original = analysis_metrics._dots
+
+    def recorded(a, b, i, j):
+        sent.append(len(i))
+        return original(a, b, i, j)
+
+    monkeypatch.setattr(analysis_metrics, "_dots", recorded)
+    assert threshold_pass(e, single_cluster_model(e), 0.05, 0) == (100.0, 1.0)
+    assert sent and not any(sent)
+
+
 def test_incidence_marks_survive_many_workers():
     # Pair g of exact_step_pairs (rows g and g + 16) is cluster g, so every
     # cluster's rows interleave with the others' in the one shared mark array.
@@ -212,6 +249,56 @@ def test_metrics_tiling_invariant():
         assert 0.0 < results[0][1] < 1.0
         assert results[0][2] < 100.0  # some threshold pairs cross clusters
         assert all(r == results[0] for r in results[1:])
+
+
+def at_threshold_pairs(pairs: int, d: int):
+    """Rows 2p and 2p + 1 form pair p at a cosine in (0.6, 0.99), and every fifth pair is split.
+
+    The other pairs sit in cluster p % 2; a split pair has one end in each
+    cluster. Returns the corpus, its two-cluster model and each pair's
+    row-wise float64 dot, the cosine on which every verdict is made.
+    """
+    local = np.random.default_rng(d)
+    x = local.standard_normal((pairs, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    t = local.standard_normal((pairs, d))
+    t -= np.einsum("ij,ij->i", t, x)[:, None] * x
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    c = local.uniform(0.6, 0.99, (pairs, 1))
+    e = unit_rows(np.stack([x, c * x + np.sqrt(1 - c * c) * t], axis=1).reshape(2 * pairs, d))
+    assignment = np.repeat(np.arange(pairs) % 2, 2).astype(np.uint32)
+    assignment[1::10] = 1 - assignment[1::10]
+    centroids = unit_rows([e.data[assignment == c].astype(np.float64).sum(axis=0) for c in (0, 1)])
+    wide = e.data.astype(np.float64)
+    return e, KMeansModel(centroids.data, assignment), np.einsum("ij,ij->i", wide[0::2], wide[1::2])
+
+
+@pytest.mark.parametrize("d", [64, 512])
+def test_pairs_at_the_threshold_are_judged_on_their_row_wise_dot(d):
+    # At epsilon = 1 - t for a pair's row-wise dot t, the pair sits exactly on
+    # 1 - epsilon (exact for t in (0.5, 1)). A float64 GEMM entry of the pair
+    # may round either side of t, depending on the tile, so the counts below
+    # hold only if every verdict reads the row-wise dot.
+    e, model, tops = at_threshold_pairs(15, d)
+    wide = e.data.astype(np.float64)
+    dots = [np.einsum("ij,ij->i", wide[np.full(e.n - i - 1, i)], wide[i + 1:]) for i in range(e.n)]
+    same = model.assignment[:, None] == model.assignment[None, :]
+    pmax = prefix_maxima(e, model, KeepStrategy.LOW_CENTROID_SIM, 0)
+    for t in tops:
+        eps = 1.0 - t
+        assert 0.5 < t < 1 and 1.0 - eps == t
+        hit = np.zeros((e.n, e.n), dtype=bool)
+        for i, row in enumerate(dots):
+            hit[i, i + 1:] = row >= t
+        within, across = int(np.count_nonzero(hit & same)), int(np.count_nonzero(hit & ~same))
+        marked = (hit & same).any(axis=0) | (hit & same).any(axis=1)
+        want = (100.0 * within / (within + across), np.count_nonzero(marked) / e.n)
+        for tile, threads in itertools.product((1, 17, 1024), (1, 2)):
+            assert threshold_pass(e, model, eps, 1, tile=tile, threads=threads) == want
+        # dedup removes a point only for a same-cluster dot above 1 - epsilon,
+        # and the incidence counts exactly the points of such pairs at or above it.
+        removed = ~threshold(pmax, eps, model).keep
+        assert not np.any(removed & ~marked)
 
 
 def test_pair_counts_match_full_matrix():

@@ -11,10 +11,10 @@ An intended change of output edits the table in the same change and says
 why, and how many rows or pairs moved. A row marked ``"any machine"`` makes
 its decisions in arithmetic that no BLAS kernel, tile or thread count rounds
 (float32 screens with a certified margin, float64 row-wise dots); a row
-marked ``"this machine"`` reads a float64 GEMM entry or the k-means seeding's
-GEMV race, whose last bits may differ on another CPU. Every command reads the
-model that ``cluster`` writes, so a row can move on another machine also
-because the model did.
+marked ``"this machine"`` also reads a float64 GEMM or GEMV entry (the k-means
+assign and seeding race, the histogram, eta's neighbor lists), whose last bits
+may differ on another CPU. Every command reads the model that ``cluster``
+writes, so a row can move on another machine also because the model did.
 """
 
 import hashlib
