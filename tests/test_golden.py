@@ -51,7 +51,7 @@ GOLDEN = {
     ("efficiency", "stdout"): ("f3dca481f2c674436e4b2e53bf3c8568aa9db0c6ae9e5d720f6f16d17bbda180", HERE),
 }
 
-# Output dir, then the command's arguments after --input and --threads.
+# Output dir, then the command's arguments; each run adds --input, --threads and --output-dir.
 STEPS = [
     ("cluster", ["cluster", "--k", "8", "--iterations", "10", "--seed", "7"]),
     ("dedup", ["dedup", "--model", "{cluster}/model.semk", "--epsilon", EPSILON, "--seed", "7"]),
