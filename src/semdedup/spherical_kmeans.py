@@ -97,23 +97,24 @@ class KMeansModel:
         return np.bincount(self.assignment, minlength=self.k).astype(np.int64)
 
 
-def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int):
-    """Argmax-cosine assignment plus the winning cosine, chunked over points."""
-    n, d = data.shape
+def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int, rows: np.ndarray | None = None):
+    """Argmax-cosine assignment plus the winning cosine of each row of ``data``, or of ``data[rows]``."""
+    n, d = data.shape if rows is None else (rows.size, data.shape[1])
     k = centroids64.shape[0]
     assignment = np.empty(n, dtype=np.uint32)
     best = np.empty(n, dtype=np.float64)
     ct = centroids64.T
     least = max(2, _SMALL_GEMM // (k * d) + 1)
-    rows = max(budget_rows(8 * (d + k)), least)
+    per_block = max(budget_rows(8 * (d + k)), least)
 
     def one(span):
         lo, hi = span
-        blocks = chunk_ranges(hi - lo, rows, least)
+        blocks = chunk_ranges(hi - lo, per_block, least)
         size = max(b - a for a, b in blocks)
         wide, scores = np.empty((size, d)), np.empty((size, k))
         for a, b in blocks:
-            np.copyto(wide[:b - a], data[lo + a:lo + b])
+            block = data[lo + a:lo + b] if rows is None else data.take(rows[lo + a:lo + b], axis=0)
+            np.copyto(wide[:b - a], block)
             s = np.matmul(wide[:b - a], ct, out=scores[:b - a])
             idx = np.argmax(s, axis=1)  # ties -> lowest cluster index
             assignment[lo + a:lo + b] = idx
@@ -123,8 +124,10 @@ def _assign_pass(data: np.ndarray, centroids64: np.ndarray, threads: int):
     return assignment, best
 
 
-def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: int) -> np.ndarray:
-    """Per-cluster float64 row sums; chunk partials combined in grid order.
+def _centroid_sums(data: np.ndarray, rows: np.ndarray, assignment: np.ndarray, k: int,
+                   threads: int) -> np.ndarray:
+    """Per-cluster float64 sums of the rows of ``data`` at the positions ``rows``,
+    whose clusters ``assignment`` gives; chunk partials combined in grid order.
 
     Each chunk's rows, sorted by cluster, are gathered into (d, rows) blocks,
     so reduceat reads each cluster's segment at unit stride. It adds a
@@ -133,14 +136,14 @@ def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: in
     would splitting a segment. A block therefore holds whole segments: those
     that start in one budget-sized window of the sorted rows.
     """
-    n, d = data.shape
+    n, d = rows.size, data.shape[1]
 
     def one(span):
         lo, hi = span
         a = assignment[lo:hi]
         order = np.argsort(a, kind="stable")
         sorted_a = a[order]
-        rows = data[lo:hi]
+        at = rows[lo:hi][order]  # the chunk's corpus rows, sorted by cluster
         starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
         window = starts // budget_rows(8 * d)
         firsts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
@@ -150,7 +153,7 @@ def _centroid_sums(data: np.ndarray, assignment: np.ndarray, k: int, threads: in
         for s0, s1, r0, r1 in zip(firsts, np.r_[firsts[1:], starts.size], edges, edges[1:]):
             cols = scratch[:d * (r1 - r0)].reshape(d, r1 - r0)
             for r in range(r0, r1, _GATHER_ROWS):
-                cols[:, r - r0:r - r0 + _GATHER_ROWS] = rows[order[r:min(r + _GATHER_ROWS, r1)]].T
+                cols[:, r - r0:r - r0 + _GATHER_ROWS] = data.take(at[r:min(r + _GATHER_ROWS, r1)], axis=0).T
             part[sorted_a[starts[s0:s1]]] = np.add.reduceat(cols, starts[s0:s1] - r0, axis=1).T
         return part
 
@@ -173,16 +176,17 @@ def _keyed_rows(ids: np.ndarray, seed: int, cap: int) -> np.ndarray:
     return np.argpartition(hashed_uniform(seed, _TAG_SUBSAMPLE, ids), cap - 1)[:cap]
 
 
-def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Careful-seeding initialization keyed on (seed, id).
+def _init_centroids(data: np.ndarray, rows: np.ndarray, ids: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Careful-seeding initialization keyed on (seed, id), over the rows of
+    ``data`` at the positions ``rows``, whose ids are ``ids``.
 
     Centers are drawn one at a time; each round holds an exponential race
     with per-id hashed uniforms and rates equal to the squared chord
     distance to the nearest chosen center, which reproduces the usual
     distance-weighted seeding while staying independent of row order. On
     large inputs the race runs over the id-keyed subsample of
-    ``_INIT_SAMPLE_CAP`` (at least 4k) points with the smallest hash, which
-    keeps init O(cap * k) and deterministic.
+    ``_INIT_SAMPLE_CAP`` (at least 4k) points with the smallest hash, read by
+    row index into one float64 array, which keeps init O(cap * k) and deterministic.
     """
     positions = _keyed_rows(ids, seed, max(_INIT_SAMPLE_CAP, 4 * k))
     # Canonical ascending-id order makes argmin ties resolve to lowest id.
@@ -190,7 +194,7 @@ def _init_centroids(data: np.ndarray, ids: np.ndarray, k: int, seed: int) -> np.
     m, d = positions.size, data.shape[1]
     sub = np.empty((m, d))
     for lo, hi in chunk_ranges(m, budget_rows(4 * d)):
-        sub[lo:hi] = data[positions[lo:hi]]
+        sub[lo:hi] = data[rows[positions[lo:hi]]]
     sub_ids = ids[positions]
 
     chosen = np.zeros(m, dtype=bool)
@@ -255,10 +259,11 @@ def fit(
     """Cluster unit embeddings into k clusters.
 
     Lloyd trains on the min(n, 256 k) points with the smallest
-    ``hashed_uniform(seed, _TAG_SUBSAMPLE, id)`` keys, in corpus order; the
-    seeding races over the first ``_INIT_SAMPLE_CAP`` (at least 4k) of the same
-    keys. It runs at most ``iterations`` rounds of assignment + centroid update,
-    stopping early once the sample's assignments no longer change. Each round
+    ``hashed_uniform(seed, _TAG_SUBSAMPLE, id)`` keys, in corpus order, read
+    by row index and never copied out; the seeding races over the first
+    ``_INIT_SAMPLE_CAP`` (at least 4k) of the same keys. It runs at most
+    ``iterations`` rounds of assignment + centroid update, stopping early
+    once the sample's assignments no longer change. Each round
     records the sample's mean cosine to its updated centroids as
     sum_c S_c . c / m, from the cluster sums S_c the update already holds, so
     the trace costs no data pass. It never decreases (within 1e-7). A final
@@ -275,25 +280,22 @@ def fit(
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
 
-    data, ids = e.data, e.ids
     m = min(n, _POINTS_PER_CENTROID * k)
-    if m < n:
-        # The Lloyd helpers take bare arrays, so the sample skips re-validation.
-        rows = np.sort(_keyed_rows(ids, seed, m))
-        data, ids = data[rows], ids[rows]
-    centroids64 = _init_centroids(data, ids, k, seed)
+    rows = np.sort(_keyed_rows(e.ids, seed, m))
+    ids = e.ids[rows]
+    centroids64 = _init_centroids(e.data, rows, ids, k, seed)
     assignment = None
     trace: list[float] = []
 
     for _ in range(iterations):
-        new_assignment, best_cos = _assign_pass(data, centroids64, threads)
+        new_assignment, best_cos = _assign_pass(e.data, centroids64, threads, rows)
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
         _repair_empty_clusters(assignment, best_cos, sizes, ids)
 
-        sums = _centroid_sums(data, assignment, k, threads)
+        sums = _centroid_sums(e.data, rows, assignment, k, threads)
         norms = np.linalg.norm(sums, axis=1)
         usable = norms > 1e-12  # an empty cluster's sum is exactly zero
         centroids64[usable] = sums[usable] / norms[usable, None]

@@ -8,7 +8,7 @@ import pytest
 from semdedup import _parallel
 from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
 from semdedup.cli import PipelineConfig, _load_corpus
-from semdedup.dedup_core import KeepStrategy, prefix_maxima
+from semdedup.dedup_core import KeepStrategy, prefix_maxima, write_keep_list
 from semdedup.embedding_store import (
     EmbeddingMatrix,
     load_embeddings,
@@ -16,7 +16,7 @@ from semdedup.embedding_store import (
     normalize_rows_in_place,
     write_embeddings,
 )
-from semdedup.spherical_kmeans import _INIT_SAMPLE_CAP, _assign_pass, fit
+from semdedup.spherical_kmeans import _INIT_SAMPLE_CAP, _POINTS_PER_CENTROID, _assign_pass, fit
 
 from conftest import random_unit
 
@@ -102,11 +102,21 @@ def test_cli_loader_holds_one_corpus_plus_the_budget(tmp_path):
     assert e.data.shape == (n, d)
 
 
-@pytest.mark.parametrize("k", [20, 200])
-def test_fit_holds_the_init_sample_plus_a_budget_per_worker(k):
-    n, d, threads = 20_000, 64, 2
+# At n = 60,000 and k = 100 Lloyd trains on 25,600 rows: a copy of them (6.25 MiB)
+# would exceed the slack the bound leaves.
+@pytest.mark.parametrize("n, k", [(20_000, 20), (20_000, 200), (60_000, 100)], ids=["20", "200", "60000-100"])
+def test_fit_holds_the_init_sample_plus_a_budget_per_worker(n, k):
+    d, threads = 64, 2
     e = random_unit(np.random.default_rng(4), n, d)
     peak, _ = _traced_peak(lambda: fit(e, k, 3, seed=1, threads=threads))
-    sample = min(n, max(_INIT_SAMPLE_CAP, 4 * k)) * d * 8
+    # The seeding's float64 race sample; the training sample is read by row index.
+    sample = min(n, _POINTS_PER_CENTROID * k, max(_INIT_SAMPLE_CAP, 4 * k)) * d * 8
     # Per-point vectors (assignment, best cosine, the init race) and per-chunk cluster sums.
     assert peak <= sample + threads * _parallel.SCRATCH_BYTES + 4 * n * 8 + 8 * k * d * 8
+
+
+def test_keep_list_holds_one_sorted_copy_plus_the_budget(tmp_path):
+    # 20-digit ids give the longest lines and the largest Python ints.
+    ids = np.random.default_rng(6).integers(10**19, 2**64, 100_000, dtype=np.uint64)
+    peak, _ = _traced_peak(lambda: write_keep_list(tmp_path / "keep.txt", ids))
+    assert peak <= ids.nbytes + _parallel.SCRATCH_BYTES

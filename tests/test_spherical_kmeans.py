@@ -78,7 +78,7 @@ def reference_fit(e, k, iterations, seed, threads):
     Returns the float64 centroids, the assignment, the objective trace and
     the number of empty-cluster repairs.
     """
-    centroids64 = _init_centroids(e.data, e.ids, k, seed)
+    centroids64 = _init_centroids(e.data, np.arange(e.n), e.ids, k, seed)
     assignment, trace, repairs = None, [], 0
     for _ in range(iterations):
         new_assignment, best_cos = _assign_pass(e.data, centroids64, threads)
@@ -131,7 +131,11 @@ def _sums_case(name):
 def test_centroid_sums_equal_reference(case, threads):
     data, assignment, k = _sums_case(case)
     want, _ = reference_centroid_sums(data, assignment, k, 1)
-    assert np.array_equal(_centroid_sums(data, assignment, k, threads), want)
+    assert np.array_equal(_centroid_sums(data, np.arange(len(data)), assignment, k, threads), want)
+    # The same rows read by index from between others.
+    spread = np.zeros((2 * len(data) + 1, data.shape[1]), dtype=data.dtype)
+    spread[1::2] = data
+    assert np.array_equal(_centroid_sums(spread, np.arange(1, spread.shape[0], 2), assignment, k, threads), want)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +145,7 @@ def test_centroid_sums_keep_whole_segments_at_a_one_row_budget(case, monkeypatch
     data, assignment, k = _sums_case(case)
     want, _ = reference_centroid_sums(data, assignment, k, 1)
     monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 1)  # one segment per reduceat call
-    assert np.array_equal(_centroid_sums(data, assignment, k, 3), want)
+    assert np.array_equal(_centroid_sums(data, np.arange(len(data)), assignment, k, 3), want)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -349,8 +353,8 @@ def init_calls(monkeypatch):
     """Each call ``fit`` makes to its seeding: the ids Lloyd trains on, and the seeded centroids."""
     calls = []
 
-    def recorder(data, ids, *args):
-        calls.append((ids.copy(), _init_centroids(data, ids, *args)))
+    def recorder(data, rows, ids, *args):
+        calls.append((ids.copy(), _init_centroids(data, rows, ids, *args)))
         return calls[-1][1].copy()
 
     monkeypatch.setattr(spherical_kmeans, "_init_centroids", recorder)
@@ -401,7 +405,7 @@ def test_sampled_init_races_over_the_first_keys_of_the_corpus(small_sample, init
     monkeypatch.setattr(spherical_kmeans, "_INIT_SAMPLE_CAP", 50)
     e = random_unit(np.random.default_rng(44), 600, 12)
     fit(e, 7, 1, seed=6)
-    assert init_calls[0][1].tobytes() == _init_centroids(e.data, e.ids, 7, 6).tobytes()
+    assert init_calls[0][1].tobytes() == _init_centroids(e.data, np.arange(e.n), e.ids, 7, 6).tobytes()
 
 
 def test_empty_cluster_repair_keeps_k_clusters():
