@@ -22,13 +22,15 @@ command's peak memory is then the interpreter, plus one normalized corpus
 (see ``embedding_store``), plus for ``cluster`` the k-means seeding's float64
 race sample of min(n, 256k, max(16384, 4k)) * d * 8 bytes (Lloyd reads its
 training sample from the corpus by row index and holds no copy of it), plus
-per worker thread the rows of the cluster at hand, the budget, and one
-similarity panel of 256 * tile entries with a 64 KiB mask: float32 (1 MiB by
-default) for the prefix maxima and the threshold pass, with that panel's
-candidate pairs (20 bytes each, about 1.2 per point; c for a point with c exact
-copies before it) or one block's band pairs (about 32 bytes each), or float64
-(2 MiB) for the histogram alone, with float64 casts of at most 256 and at most
-tile rows. ``write_keep_list`` holds a sorted copy of the ids and writes them in
+per worker thread the rows of the cluster at hand (and of the second cluster
+of a threshold-pass task that pairs two), the budget, and one similarity panel
+of 256 * tile entries with a 64 KiB mask: float32 (1 MiB by default) for the
+prefix maxima and the threshold pass, with that panel's candidate pairs (20
+bytes each, about 1.2 per point; c for a point with c exact copies before it)
+or one block's band pairs (about 32 bytes each), or float64 (2 MiB) for the
+histogram alone, with float64 casts of at most 256 and at most tile rows. The
+threshold pass also marks the points that have a duplicate in one n-byte
+array. ``write_keep_list`` holds a sorted copy of the ids and writes them in
 chunks of 16,384, which at about 123 bytes per 20-digit id fit the budget.
 """
 

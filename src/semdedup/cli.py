@@ -4,8 +4,9 @@ Subcommands: cluster, dedup, tune, sweep, stats, intersect, efficiency,
 synth; each binds its handler, which takes the parsed arguments. The run
 options, the fields of ``PipelineConfig``, are the files, the CPU budget and
 settings that can change a result; each is one flag and one config-file key
-(flags override the file). The effective config is copied next to the
-results, so every run is reproducible. Inputs are validated before any output.
+(flags override the file). The input is a SEMD1 file, the one format of
+``embedding_store``. The effective config is copied next to the results, so
+every run is reproducible. Inputs are validated before any output.
 
 Exit codes: 0 success, 2 validation error, 3 format error, 4 data error,
 5 tuner did not converge: the rows the command tunes on (every point for
@@ -78,12 +79,10 @@ _CONFIG_KINDS = {
     "float | None": (float, int, type(None)),
 }
 # Fields whose flag is not "--" plus the field name with dashes.
-_FLAG_NAMES = {"input_format": "--format", "kmeans_iterations": "--iterations",
-               "histogram_bins": "--bins"}
+_FLAG_NAMES = {"kmeans_iterations": "--iterations", "histogram_bins": "--bins"}
 # Further add_argument options of a field's flag.
 _FLAG_OPTIONS = {
     "input": {"help": "embedding file path"},
-    "input_format": {"choices": ["binary", "text"]},
     "strategy": {"choices": [s.value for s in KeepStrategy]},
     "threads": {"help": "CPU budget of each pass, OpenBLAS included, but k-means seeding "
                         "uses OpenBLAS's own threads (0 = the CPUs this process may run on)"},
@@ -94,9 +93,9 @@ _FLAG_OPTIONS = {
 class PipelineConfig:
     """Run parameters; at most one of epsilon / target_fraction may be set.
 
-    Besides the files (input, input_format, output_dir) and the CPU budget
-    (threads), each field can change a result, except ``max_probes``: it bounds
-    nothing since the tuner became exact, but is still accepted and validated.
+    Besides the files (input, output_dir) and the CPU budget (threads), each
+    field can change a result, except ``max_probes``: it bounds nothing since
+    the tuner became exact, but is still accepted and validated.
     Commands that read a threshold check for theirs: dedup needs one of the
     two, tune a target fraction (and alone reads ``sample_fraction``),
     efficiency an epsilon. The tile of the similarity sweeps, which changes no
@@ -104,7 +103,6 @@ class PipelineConfig:
     """
 
     input: str = ""
-    input_format: str = "binary"
     k: int = 1024
     kmeans_iterations: int = 100
     seed: int = 0
@@ -177,7 +175,7 @@ class PipelineConfig:
 def _load_corpus(cfg: PipelineConfig):
     if not cfg.input:
         raise InvalidArgumentError("input path is required")
-    return normalize_rows_in_place(load_embeddings(cfg.input, format=cfg.input_format))
+    return normalize_rows_in_place(load_embeddings(cfg.input))
 
 
 def _write_json(path: Path, payload: dict) -> None:

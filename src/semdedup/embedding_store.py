@@ -1,16 +1,12 @@
 """Load, validate, normalize, and persist embedding matrices.
 
-Two on-disk formats:
-
-* binary "SEMD1" (little-endian): magic ``SEMD``, u32 version=1, u64 n,
-  u32 d, u32 dtype code (1 = float32), n*d float32 row-major, n u64 ids.
-* text: one row per line, whitespace-separated decimal floats, ids implicit
-  0..n-1. Meant for tests and tiny corpora.
+One on-disk format, "SEMD1" (little-endian): magic ``SEMD``, u32 version=1,
+u64 n, u32 d, u32 dtype code (1 = float32), n*d float32 row-major, n u64 ids.
 
 Rows are stored as float32; all similarity math elsewhere accumulates in
 float64.
 
-Memory: a binary file is read straight into the final float32 array, and
+Memory: a file is read straight into the final float32 array, and
 checks and norms run in row blocks whose scratch the ``_parallel`` budget
 sizes. ``load_embeddings`` followed by ``normalize_rows_in_place`` holds one
 copy of the corpus, plus that budget and a sorted copy of the ids;
@@ -20,6 +16,7 @@ is stated in ``_parallel``.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -157,7 +154,11 @@ def read_exact(fh, count: int, what: str) -> bytes:
     return buf
 
 
-def _load_binary(path: Path) -> EmbeddingMatrix:
+def load_embeddings(path) -> EmbeddingMatrix:
+    """Read a SEMD1 matrix from ``path``."""
+    path = Path(path)
+    if not path.is_file():
+        raise InvalidArgumentError(f"no such file: {path}")
     with open(path, "rb") as fh:
         header = read_exact(fh, _HEADER.size, "header")
         magic, version, n, d, dtype_code = _HEADER.unpack(header)
@@ -179,70 +180,29 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(data, ids)
 
 
-def _load_text(path: Path) -> EmbeddingMatrix:
-    rows: list[np.ndarray] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                values = np.array([float(t) for t in tokens], dtype=np.float32)
-            except ValueError as ex:
-                raise FormatError(f"line {lineno}: {ex}") from None
-            if width is None:
-                width = values.size
-            elif values.size != width:
-                raise FormatError(f"line {lineno}: expected {width} values, got {values.size}")
-            rows.append(values)
-    if not rows:
-        raise FormatError("text file contains no rows")
-    return EmbeddingMatrix(np.vstack(rows))
+def write_embeddings(m: EmbeddingMatrix, path) -> None:
+    """Serialize a matrix as SEMD1; it round-trips bit-exactly."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, m.n, m.d, DTYPE_FLOAT32))
+        fh.write(np.ascontiguousarray(m.data, dtype=_F32).tobytes())
+        fh.write(np.ascontiguousarray(m.ids, dtype=_U64).tobytes())
 
 
-def load_embeddings(path, format: str = "binary") -> EmbeddingMatrix:
-    """Read a matrix from ``path`` in the given format ("binary" or "text")."""
-    path = Path(path)
-    if not path.is_file():
-        raise InvalidArgumentError(f"no such file: {path}")
-    if format == "binary":
-        return _load_binary(path)
-    if format == "text":
-        return _load_text(path)
-    raise InvalidArgumentError(f"unknown format {format!r}")
-
-
-def _format_value(v: np.float32) -> str:
-    # Shortest decimal that parses back to the same float32.
-    return np.format_float_positional(v, unique=True, trim="0")
-
-
-def write_embeddings(m: EmbeddingMatrix, path, format: str = "binary") -> None:
-    """Serialize a matrix; binary output round-trips bit-exactly."""
-    path = Path(path)
-    if format == "binary":
-        header = _HEADER.pack(MAGIC, VERSION, m.n, m.d, DTYPE_FLOAT32)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(m.data, dtype=_F32).tobytes())
-            fh.write(np.ascontiguousarray(m.ids, dtype=_U64).tobytes())
-    elif format == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in m.data:
-                fh.write(" ".join(_format_value(v) for v in row))
-                fh.write("\n")
-    else:
-        raise InvalidArgumentError(f"unknown format {format!r}")
-
-
-def write_subset(m: EmbeddingMatrix, keep_ids: Iterable[int], path, format: str = "binary") -> int:
+def write_subset(m: EmbeddingMatrix, keep_ids: Iterable[int], path) -> int:
     """Write the rows whose ids are in ``keep_ids``, preserving row order.
 
-    Returns the number of rows written. Unknown ids raise DataError; an
-    empty subset is rejected because the formats require n >= 1.
+    Returns the number of rows written. An id that is not an integer in
+    [0, 2^64) raises InvalidArgumentError, and unknown ids DataError; an empty
+    subset is rejected because the format requires n >= 1.
     """
-    wanted = np.unique(np.fromiter((int(i) for i in keep_ids), dtype=np.uint64))
+    try:
+        ids = [operator.index(i) for i in keep_ids]  # ints and numpy integers, not floats
+    except TypeError as exc:
+        raise InvalidArgumentError(f"ids must be integers: {exc}") from None
+    for i in ids:
+        if not 0 <= i < 1 << 64:
+            raise InvalidArgumentError(f"id {i} is outside [0, 2^64)")
+    wanted = np.unique(np.array(ids, dtype=np.uint64))
     if wanted.size == 0:
         raise InvalidArgumentError("empty subset")
     missing = wanted[~np.isin(wanted, m.ids)]
@@ -250,5 +210,5 @@ def write_subset(m: EmbeddingMatrix, keep_ids: Iterable[int], path, format: str 
         raise DataError(f"unknown ids: {missing[:5].tolist()}")
     mask = np.isin(m.ids, wanted)
     subset = EmbeddingMatrix(m.data[mask].copy(), m.ids[mask].copy())
-    write_embeddings(subset, path, format=format)
+    write_embeddings(subset, path)
     return subset.n

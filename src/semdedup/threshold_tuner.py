@@ -6,10 +6,11 @@ p <= 1 - epsilon. The kept fraction of sorted maxima is thus an order
 statistic, a step function of epsilon that changes only at epsilon = 1 - p.
 ``select_epsilon`` evaluates every such step inside the search range at once
 and returns the one nearest the target, so it never misses an attainable
-fraction. ``dedup`` runs it on every point's maximum; ``size_curve`` and
-``tune_epsilon`` on sampled clusters (10% is usually enough to approximate the
-full-corpus size). ``prefix_maxima`` rejects ids out of range or repeated,
-and ``sorted_maxima`` a sample without points.
+fraction. ``dedup`` runs it on every point's maximum, and ``tune_epsilon`` on
+sampled clusters (10% is usually enough to approximate the full-corpus size).
+``size_curve`` runs on the clusters it is given, and ``sweep`` gives it every
+cluster. ``prefix_maxima`` rejects ids out of range or repeated, and
+``sorted_maxima`` a sample without points.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def size_curve(
     tile: int = DEFAULT_TILE,
     threads: int = 1,
 ) -> SizeCurve:
-    """Sampled kept-fraction at each threshold; duplicates collapse to one point."""
+    """Kept fraction of ``sample``'s clusters at each threshold; duplicates collapse to one point."""
     eps = [float(x) for x in epsilons]
     if not eps:
         raise InvalidArgumentError("epsilon list is empty")

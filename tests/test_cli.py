@@ -413,7 +413,6 @@ def test_config_file_with_flag_override(tmp_path, corpus_file):
 # but output_dir, which each run below sets.
 EVERY_OPTION = (
     ("--input", "input", "copy.semd"),
-    ("--format", "input_format", "text"),
     ("--k", "k", 3),
     ("--iterations", "kmeans_iterations", 4),
     ("--seed", "seed", 5),
@@ -432,21 +431,16 @@ EVERY_OPTION = (
 
 
 def test_every_config_field_is_one_flag_and_one_config_key(tmp_path, corpus_file):
-    assert _FLAG_NAMES == {"input_format": "--format", "kmeans_iterations": "--iterations",
-                           "histogram_bins": "--bins"}
+    assert _FLAG_NAMES == {"kmeans_iterations": "--iterations", "histogram_bins": "--bins"}
     names = [name for _, name, _ in EVERY_OPTION]
     assert sorted([*names, "output_dir"]) == sorted(f.name for f in fields(PipelineConfig))
     shutil.copy(corpus_file, tmp_path / "copy.semd")
-    text_corpus = tmp_path / "corpus.txt"
-    write_embeddings(load_embeddings(corpus_file), text_corpus, format="text")
     defaults = asdict(PipelineConfig())
     for flag, name, value in EVERY_OPTION:
         if name == "input":
             value = str(tmp_path / value)
         assert value != defaults[name]
         values = {"input": str(corpus_file), "k": 2, name: value}
-        if name == "input_format":
-            values["input"] = str(text_corpus)
         for source in ("flag", "config"):
             out = tmp_path / f"{name}-{source}"
             if source == "flag":
@@ -467,18 +461,21 @@ def test_unknown_config_key_rejected(tmp_path, corpus_file):
 
 
 def test_tile_is_neither_a_flag_nor_a_config_key(tmp_path, corpus_file, caplog):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run_cluster(corpus_file, out, extra=("--tile", "64"))
-    assert exc.value.code == EXIT_VALIDATION
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"input": str(corpus_file), "k": 2, "tile": 64,
-                                  "output_dir": str(out)}))
-    assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
-    assert "tile" in caplog.records[-1].message
-    assert not out.exists()
-    assert run_cluster(corpus_file, out) == 0
-    assert "tile" not in json.loads((out / "config.json").read_text())
+    # The removed input_format (SEMD1 is the one format) fails the same way.
+    for flag, arg, key, value in [("--tile", "64", "tile", 64),
+                                  ("--format", "text", "input_format", "binary")]:
+        out = tmp_path / key
+        with pytest.raises(SystemExit) as exc:
+            run_cluster(corpus_file, out, extra=(flag, arg))
+        assert exc.value.code == EXIT_VALIDATION
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({"input": str(corpus_file), "k": 2, key: value,
+                                      "output_dir": str(out)}))
+        assert main(["cluster", "--config", str(config)]) == EXIT_VALIDATION
+        assert key in caplog.records[-1].message
+        assert not out.exists()
+        assert run_cluster(corpus_file, out) == 0
+        assert key not in json.loads((out / "config.json").read_text())
     assert PipelineConfig().tile == dedup_core.DEFAULT_TILE
 
 

@@ -64,45 +64,6 @@ def test_binary_round_trip_random_bits(tmp_path):
     assert back.ids.tobytes() == m.ids.tobytes()
 
 
-def test_text_round_trip(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("1 0\n0 1\n")
-    m = load_embeddings(path, format="text")
-    assert np.array_equal(m.data, np.eye(2, dtype=np.float32))
-    assert np.array_equal(m.ids, np.arange(2, dtype=np.uint64))
-
-    rng = np.random.default_rng(6)
-    original = EmbeddingMatrix(rng.standard_normal((8, 5)).astype(np.float32))
-    out = tmp_path / "rt.txt"
-    write_embeddings(original, out, format="text")
-    again = load_embeddings(out, format="text")
-    assert np.array_equal(again.data, original.data)
-
-
-def test_text_rejects_bad_rows(tmp_path):
-    ragged = tmp_path / "ragged.txt"
-    ragged.write_text("1 2 3\n4 5\n")
-    with pytest.raises(FormatError, match="line 2"):
-        load_embeddings(ragged, format="text")
-
-    junk = tmp_path / "junk.txt"
-    junk.write_text("1 x\n")
-    with pytest.raises(FormatError):
-        load_embeddings(junk, format="text")
-
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n\n")
-    with pytest.raises(FormatError):
-        load_embeddings(empty, format="text")
-
-
-def test_text_nan_is_data_error(tmp_path):
-    path = tmp_path / "nan.txt"
-    path.write_text("nan 1\n")
-    with pytest.raises(DataError, match="row 0"):
-        load_embeddings(path, format="text")
-
-
 def test_load_rejects_every_magic_mutation(tmp_path):
     m = EmbeddingMatrix(np.eye(2, dtype=np.float32))
     path = tmp_path / "m.semd"
@@ -291,11 +252,17 @@ def test_write_subset_errors(tmp_path):
         write_subset(m, [], tmp_path / "x.semd")
     with pytest.raises(DataError, match="unknown"):
         write_subset(m, [99], tmp_path / "x.semd")
+    # int() would keep id 1 of 1.5, and -1 and 2^64 do not fit a u64.
+    for bad, message in [(1.5, "^ids must be integers: "), (-1, r"^id -1 is outside"),
+                         (2**64, rf"^id {2**64} is outside")]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            write_subset(m, [0, bad], tmp_path / "x.semd")
+    assert not (tmp_path / "x.semd").exists()
 
 
-def load_in_place(path, format="binary"):
+def load_in_place(path):
     """The CLI's loader: no second copy of the corpus."""
-    return normalize_rows_in_place(load_embeddings(path, format))
+    return normalize_rows_in_place(load_embeddings(path))
 
 
 def _hand_written(path, data, ids):
@@ -346,19 +313,14 @@ def test_in_place_loader_rejects_duplicate_ids_and_zero_rows(tmp_path, monkeypat
         load_in_place(path)
 
 
-@pytest.mark.parametrize("fmt", ["binary", "text"])
-def test_in_place_loader_normalizes_the_loaded_buffer(tmp_path, fmt):
-    path = tmp_path / "m.data"
+def test_in_place_loader_normalizes_the_loaded_buffer(tmp_path):
+    path = tmp_path / "m.semd"
     m = EmbeddingMatrix(np.random.default_rng(7).standard_normal((30, 5)).astype(np.float32))
-    write_embeddings(m, path, format=fmt)
-    loaded = load_embeddings(path, fmt)
+    write_embeddings(m, path)
+    loaded = load_embeddings(path)
     u = normalize_rows_in_place(loaded)
     assert isinstance(u, UnitEmbeddingMatrix)
     assert u.data is loaded.data and u.ids is loaded.ids  # no second copy
-    want = normalize_rows(load_embeddings(path, fmt))
+    want = normalize_rows(load_embeddings(path))
     assert np.array_equal(u.data.view(np.uint32), want.data.view(np.uint32))
     assert np.array_equal(u.ids, want.ids)
-    if fmt == "text":
-        path.write_text("1 2\n0 0\n")
-        with pytest.raises(DegenerateRowError, match="^row 1 "):
-            load_in_place(path, fmt)

@@ -8,7 +8,7 @@ import pytest
 from semdedup import _parallel
 from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
 from semdedup.cli import PipelineConfig, _load_corpus
-from semdedup.dedup_core import KeepStrategy, prefix_maxima, write_keep_list
+from semdedup.dedup_core import _PANEL, DEFAULT_TILE, KeepStrategy, prefix_maxima, write_keep_list
 from semdedup.embedding_store import (
     EmbeddingMatrix,
     load_embeddings,
@@ -120,3 +120,16 @@ def test_keep_list_holds_one_sorted_copy_plus_the_budget(tmp_path):
     ids = np.random.default_rng(6).integers(10**19, 2**64, 100_000, dtype=np.uint64)
     peak, _ = _traced_peak(lambda: write_keep_list(tmp_path / "keep.txt", ids))
     assert peak <= ids.nbytes + _parallel.SCRATCH_BYTES
+
+
+def test_efficiency_holds_two_clusters_plus_a_panel_and_the_budget_per_worker():
+    n, d, k, threads = 12_000, 256, 4, 2
+    e = random_unit(np.random.default_rng(4), n, d)
+    model = fit(e, k, 3, seed=1, threads=threads)
+    peak, _ = _traced_peak(lambda: dedup_efficiency(e, model, 0.3, 1, threads=threads))
+    # A task that pairs two clusters gathers the rows of both: one cluster's
+    # rows per worker (3.1 MiB at most here) would not fit the peak.
+    two = sum(sorted(int(m.size) for m in model.members)[-2:]) * d * 4
+    panel = _PANEL * DEFAULT_TILE * (4 + 1)  # float32 scores and their mask
+    # Plus the n-byte marks of the points that have a duplicate.
+    assert peak <= threads * (two + panel + _parallel.SCRATCH_BYTES) + n
