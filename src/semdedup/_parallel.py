@@ -22,16 +22,19 @@ command's peak memory is then the interpreter, plus one normalized corpus
 (see ``embedding_store``), plus for ``cluster`` the k-means seeding's float64
 race sample of min(n, 256k, max(16384, 4k)) * d * 8 bytes (Lloyd reads its
 training sample from the corpus by row index and holds no copy of it), plus
-per worker thread the rows of the cluster at hand (and of the second cluster
-of a threshold-pass task that pairs two), the budget, and one similarity panel
-of 256 * tile entries with a 64 KiB mask: float32 (1 MiB by default) for the
-prefix maxima and the threshold pass, with that panel's candidate pairs (20
-bytes each, about 1.2 per point; c for a point with c exact copies before it)
-or one block's band pairs (about 32 bytes each), or float64 (2 MiB) for the
-histogram alone, with float64 casts of at most 256 and at most tile rows. The
-threshold pass also marks the points that have a duplicate in one n-byte
-array. ``write_keep_list`` holds a sorted copy of the ids and writes them in
-chunks of 16,384, which at about 123 bytes per 20-digit id fit the budget.
+per worker thread the budget and what the similarity kernel holds: one block
+of at most tile and one panel of at most 256 rows read from the corpus by row
+index (float32, plus their float64 casts for the histogram), never a whole
+cluster, and one similarity panel of 256 * tile entries with a 64 KiB mask,
+float32 (1 MiB by default) for the prefix maxima and the threshold pass or
+float64 (2 MiB) for the histogram. The prefix maxima's screen also holds one
+block's candidate pairs (at most 256 * tile, 20 bytes each) and the candidates
+of the panels still open (about 1.2 per point of the cluster), which it cuts
+or hands to float64 once they outgrow the budget; the threshold pass holds one
+block's band pairs (about 32 bytes each) and marks the points that have a
+duplicate in one n-byte array. ``write_keep_list`` holds a sorted copy of the
+ids and writes them in chunks of 16,384, which at about 123 bytes per 20-digit
+id fit the budget.
 """
 
 from __future__ import annotations

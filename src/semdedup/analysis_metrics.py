@@ -7,15 +7,17 @@ between two equal-size keep-sets, and the detection-efficiency percentage
 (share of threshold pairs found within clusters out of all threshold pairs
 in the neighbor-cluster-approximated universe).
 
-Two passes over the clusters' pairs, each one ``map_ordered`` call. The
-binning pass, ``similarity_histogram``, takes no epsilon and bins float64
-entries of ``dedup_core._panels``. The threshold pass, ``threshold_pass``,
-judges each pair once at cosine >= 1 - epsilon on the float64 row-wise dot
-pmax is made of, ``dedup_core._dots``, read only where a float32 panel score
-lies within ``_screen_margin`` of 1 - epsilon; no tile, thread count or BLAS
-changes a verdict. Within-cluster hits give both eta's detected pairs and the
-points that have a duplicate, so the two agree on every verdict, and every
-point ``dedup`` removes at epsilon is marked.
+Two passes over the clusters' pairs, each one ``map_ordered`` call, and each
+reads a cluster's rows from the corpus by index through ``dedup_core._panels``,
+a block and a panel at a time, never a whole cluster. The binning pass,
+``similarity_histogram``, takes no epsilon and bins float64 panel entries.
+The threshold pass, ``threshold_pass``, judges each pair once at cosine >=
+1 - epsilon on the float64 row-wise dot pmax is made of, ``dedup_core._dots``,
+read only where a float32 panel score lies within ``_screen_margin`` of
+1 - epsilon; no tile, thread count or BLAS changes a verdict. Within-cluster
+hits give both eta's detected pairs and the points that have a duplicate, so
+the two agree on every verdict, and every point ``dedup`` removes at epsilon
+is marked.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def similarity_histogram(
 
     def one(c: int) -> np.ndarray:
         counts = np.zeros(bins, dtype=np.int64)
-        for _, _, sims in _panels(e.data[model.members[c]], tile=tile, dtype=np.float64):
+        for _, _, sims in _panels(e.data, model.members[c], tile=tile, dtype=np.float64):
             # About four float64 temporaries per cosine while binning.
             for lo, hi in chunk_ranges(sims.shape[0], budget_rows(32 * sims.shape[1])):
                 block = sims[lo:hi]
@@ -115,18 +117,18 @@ def threshold_pass(
 
     def count(task: tuple[int, int]) -> int:
         a, b = task
-        rows = e.data[model.members[a]]
-        cols = rows if a == b else e.data[model.members[b]]
+        rows = model.members[a]
+        cols = rows if a == b else model.members[b]
         hits = 0
-        for i0, j0, sims in _panels(rows, None if a == b else cols, tile=tile, dtype=np.float32):
+        for i0, j0, sims in _panels(e.data, rows, None if a == b else cols, tile=tile, dtype=np.float32):
             hit = sims >= sure
             band = np.flatnonzero(np.not_equal(sims >= below, hit))
             i, j = np.divmod(band, sims.shape[1])
-            hit.ravel()[band[_dots(rows, cols, i0 + i, j0 + j) >= threshold]] = True
+            hit.ravel()[band[_dots(e.data, e.data, rows[i0 + i], cols[j0 + j]) >= threshold]] = True
             hits += int(np.count_nonzero(hit))
             if a == b:  # tasks own disjoint rows
-                near[model.members[a][i0:i0 + hit.shape[0]][hit.any(axis=1)]] = True
-                near[model.members[a][j0:j0 + hit.shape[1]][hit.any(axis=0)]] = True
+                near[rows[i0:i0 + hit.shape[0]][hit.any(axis=1)]] = True
+                near[rows[j0:j0 + hit.shape[1]][hit.any(axis=0)]] = True
         return hits
 
     counts = map_ordered(count, tasks, threads)

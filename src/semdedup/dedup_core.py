@@ -18,13 +18,17 @@ is made on: a pmax is its winning pair's, found by a float32 screen
 (``_screen``), so no tile, thread count or BLAS changes a pmax or an order.
 
 Every similarity panel here and in ``analysis_metrics`` comes from one kernel,
-``_panels``: panels of at most 256 rows of ``a`` against at most ``tile`` rows
-of ``b``, each one ``gemm`` in the dtype the caller passes (float32 for the
-screens, float64 for the histogram). Given ``b`` they cover every (row of a,
-row of b) pair once; without it, each unordered pair within ``a`` once, as
-(later, earlier), with entries on or after the diagonal -inf. Rows of another
-dtype are cast a panel or block at a time into buffers made once per call.
-``tile`` changes speed and memory, and a panel entry only within rounding.
+``_panels``: panels of at most 256 rows against blocks of at most ``tile``
+columns, both read from the corpus by row index, each one ``gemm`` in the
+dtype the caller passes (float32 for the screens, float64 for the histogram).
+Given ``cols`` they cover every (row, column) pair once; without it, each
+unordered pair within ``rows`` once, as (later, earlier), with entries on or
+after the diagonal -inf. The loop is block-outer, as in Goto and van de
+Geijn's GEMM ("Anatomy of high-performance matrix multiplication", ACM TOMS
+2008): each block is gathered once and every panel that needs it is
+multiplied against it, so a caller holds a block and a panel of rows, never
+a cluster. Gathers and casts to another dtype go into buffers made once per
+call. ``tile`` changes speed and memory, and a panel entry only within rounding.
 """
 
 from __future__ import annotations
@@ -142,35 +146,46 @@ def _dots(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
     return out
 
 
-def _panels(a: np.ndarray, b: np.ndarray | None = None, *, tile: int, dtype: type):
-    """Yield ``(i0, j0, sims)``: ``dtype`` panels of ``a @ b.T`` (see module docstring).
+def _panels(data: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None, *, tile: int, dtype: type):
+    """Yield ``(i0, j0, sims)``: ``dtype`` panels of ``data[rows] @ data[cols].T`` (see module docstring).
 
+    A panel that lies inside the block is a view of it; any other is gathered.
     All panels share one buffer, so a yielded panel is valid until the next is requested.
     """
     _check_tile(tile)
-    within = b is None
-    cols = a if within else b
-    m, n = a.shape[0], cols.shape[0]
-    flat = np.empty(min(_PANEL, m) * min(tile, n), dtype=dtype)
-    left = np.empty((min(_PANEL, m), a.shape[1]), dtype=dtype) if a.dtype != dtype else None
-    right = np.empty((min(tile, n), a.shape[1]), dtype=dtype) if cols.dtype != dtype else None
+    within = cols is None
+    cols = rows if within else cols
+    m, n, d = len(rows), len(cols), data.shape[1]
+    # Gathered float32 rows, and their casts when the caller asks for another dtype.
+    block = right = np.empty((min(tile, n), d), dtype=data.dtype)
+    panel_rows = left = np.empty((min(_PANEL, m), d), dtype=data.dtype)
+    if dtype != data.dtype:
+        right, left = np.empty(right.shape, dtype=dtype), np.empty(left.shape, dtype=dtype)
+    flat = np.empty(left.shape[0] * right.shape[0], dtype=dtype)
     after = ~np.tri(_PANEL, k=-1, dtype=bool)
-    # Within ``a``, row 0 has no earlier row and a panel's columns stop before its last row.
-    for p0 in range(int(within), m, _PANEL):
-        p1 = min(p0 + _PANEL, m)
-        panel = a[p0:p1]
-        if left is not None:
-            panel = left[:p1 - p0]
-            np.copyto(panel, a[p0:p1])
-        for j0, j1 in chunk_ranges(p1 - 1 if within else n, tile):
-            block = cols[j0:j1]
-            if right is not None:
-                block = right[:j1 - j0]
-                np.copyto(block, cols[j0:j1])
-            # Within ``a``, rows before i0 have no earlier column in this block.
-            i0 = max(p0, j0 + 1) if within else p0
+    # Within ``rows``, row 0 has no earlier row and the last row is no column.
+    for j0 in range(0, n - within, tile):
+        g1 = min(j0 + tile, n)
+        # mode="clip": the default "raise" gathers into a temporary first.
+        np.take(data, cols[j0:g1], axis=0, out=block[:g1 - j0], mode="clip")
+        if right is not block:
+            np.copyto(right[:g1 - j0], block[:g1 - j0])
+        for p0 in range(int(within), m, _PANEL):
+            p1 = min(p0 + _PANEL, m)
+            # Within ``rows``, a panel's columns stop before its last row, and
+            # rows before i0 have no earlier column in this block.
+            j1, i0 = (min(g1, p1 - 1), max(p0, j0 + 1)) if within else (g1, p0)
+            if j1 <= j0:
+                continue
+            if within and j0 <= p0 and p1 <= g1:
+                panel = right[p0 - j0:p1 - j0]
+            else:
+                panel = left[:p1 - p0]
+                np.take(data, rows[p0:p1], axis=0, out=panel_rows[:p1 - p0], mode="clip")
+                if left is not panel_rows:
+                    np.copyto(panel, panel_rows[:p1 - p0])
             sims = flat[:(p1 - i0) * (j1 - j0)].reshape(p1 - i0, j1 - j0)
-            np.matmul(panel[i0 - p0:], block.T, out=sims)
+            np.matmul(panel[i0 - p0:], right[:j1 - j0].T, out=sims)
             if within and j1 > i0:  # the block reaches the panel's own rows
                 c0 = max(j0, i0)
                 np.copyto(sims[:, c0 - j0:], -np.inf, where=after[i0 - p0:p1 - p0, c0 - p0:j1 - p0])
@@ -194,30 +209,60 @@ def _screen_margin(d: int) -> float:
     return 2 * (gamma32 + 2 * u32 + 2 * gamma64) * (1 + UNIT_NORM_TOL) ** 2
 
 
-def _screen(rows: np.ndarray, tile: int, margin: float):
-    """Per panel, the ``(later, earlier)`` row pairs that may hold a later row's float64 maximum.
+def _screen(data: np.ndarray, rows: np.ndarray, tile: int, margin: float):
+    """Batches of ``(later, earlier)`` positions in ``rows`` whose pair may hold a later row's float64 maximum.
 
     Each float32 block of ``_panels`` keeps every score within ``margin``
-    (``_screen_margin`` of the row length) of its row's best so far. After a
-    panel's last block that best is final, and only pairs within the margin of
-    it are yielded, so one panel's candidates are held at a time. Each cut-off
+    (``_screen_margin`` of the row length) of its row's best so far. Each
+    panel's running best and candidates are held, keyed by panel end, until
+    its last block; then only pairs within the margin of its final best are
+    yielded. A panel drops those below the margin of its best so far whenever
+    it holds more than 8 blocks' batches, and every panel does so when the
+    held candidates outgrow the scratch budget; if half the budget is still
+    held, every panel yields what it holds at once. Those pairs' float64 dots
+    never exceed the true maxima, and the winning pair is within the margin of
+    the best so far when its block arrives, so no maximum moves. Each cut-off
     is rounded down, so the pair with the largest float64 dot always survives.
     """
     margin = np.nextafter(np.float32(margin), np.float32(np.inf))
-    for i0, j0, sims in _panels(rows, tile=tile, dtype=np.float32):
+    held = {}  # panel end -> (first row, best so far, candidate batches)
+    size = 0  # candidates held at most; exact after each check against the budget
+
+    def cut(p0, best, found) -> int:
+        """Join a panel's batches into one within the margin of its best so far; its size."""
+        later, earlier, score = found[0] if len(found) == 1 else (np.concatenate(x) for x in zip(*found))
+        keep = score >= np.nextafter(best[later - p0] - margin, -np.inf)
+        found[:] = [(later, earlier, score) if keep.all() else (later[keep], earlier[keep], score[keep])]
+        return found[0][0].size
+
+    for i0, j0, sims in _panels(data, rows, tile=tile, dtype=np.float32):
         r, c = sims.shape
+        end = i0 + r
         if j0 == 0:  # a panel's first block, which holds all its rows
-            p0, best, found = i0, np.full(r, -np.inf, dtype=np.float32), []
+            held[end] = (i0, np.full(r, -np.inf, dtype=np.float32), [])
+        p0, best, found = held[end]
         seg = best[i0 - p0:]
         np.maximum(seg, sims.max(axis=1), out=seg)
         # flatnonzero: a 2-D nonzero takes about 15 times as long here.
         hit = np.flatnonzero(sims >= np.nextafter(seg - margin, -np.inf)[:, None])
-        i, j = np.divmod(hit, c)
-        found.append((i0 + i, j0 + j, sims.ravel()[hit]))
-        if j0 + c == i0 + r - 1:  # the panel's last block ends just before its last row
-            later, earlier, score = (np.concatenate(x) for x in zip(*found))
-            keep = score >= np.nextafter(best[later - p0] - margin, -np.inf)
-            yield later[keep], earlier[keep]
+        later, earlier = np.divmod(hit, c)
+        later += i0
+        earlier += j0
+        found.append((later, earlier, sims.ravel()[hit]))
+        size += hit.size
+        if j0 + c == end - 1:  # the panel's last block ends just before its last row
+            del held[end]
+            cut(p0, best, found)
+            yield found[0][:2]
+        elif len(found) > 8:  # each batch costs about 400 bytes of array headers
+            cut(p0, best, found)
+        if size > budget_rows(20):  # 20 bytes a candidate
+            size = sum(cut(*panel) for panel in held.values() if panel[2])
+            if 2 * size > budget_rows(20):
+                for _, _, found in held.values():
+                    if found:
+                        yield found.pop()[:2]
+                size = 0
 
 
 def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAULT_TILE) -> np.ndarray:
@@ -225,12 +270,11 @@ def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAU
 
     A maximum is the float64 row-wise dot of its winning pair, found by the
     float32 screen (``_screen``), so it depends on neither ``tile`` nor BLAS.
+    Rows are read from ``e.data`` by index, a tile at a time.
     """
-    margin = _screen_margin(e.d)  # before the gather: a row length may admit no margin
-    rows = e.data[ordered]
     prefix = np.zeros(len(ordered))
-    for later, earlier in _screen(rows, tile, margin):
-        np.maximum.at(prefix, later, _dots(rows, rows, later, earlier))
+    for later, earlier in _screen(e.data, ordered, tile, _screen_margin(e.d)):
+        np.maximum.at(prefix, later, _dots(e.data, e.data, ordered[later], ordered[earlier]))
     return prefix
 
 

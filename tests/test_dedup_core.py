@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdedup import _parallel, dedup_core
 from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, similarity_histogram
@@ -216,27 +218,28 @@ def test_screen_rejects_rows_too_long_to_certify(d):
 def test_screen_sends_one_pair_per_point_to_float64(rng):
     # Without near ties only each point's float32 winner survives the final
     # cut, even at tile 1, where a point's best so far rises tile after tile.
-    e = random_unit(rng, 200, 16)
-    wide = e.data.astype(np.float64)
+    e = random_unit(rng, 300, 16)
+    rows = rng.permutation(300)[:200]  # positions in ``rows``, read from the corpus by index
+    wide = e.data[rows].astype(np.float64)
     winners = [int(np.argmax(wide[:i] @ wide[i])) for i in range(1, 200)]
     margin = dedup_core._screen_margin(16)
     for tile in (1, 17, 1024):
-        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, tile, margin)))
+        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, rows, tile, margin)))
         assert np.array_equal(np.sort(later), np.arange(1, 200))
         assert np.array_equal(earlier[np.argsort(later)], winners)
 
 
-def test_screen_holds_one_panel_of_candidates(rng):
-    # A small tile on a few-thousand-point cluster: each panel yields about one
-    # pair per own row, and the candidates held at once never outgrow one panel.
+def test_screen_holds_a_budget_of_candidates(rng):
+    # A small tile on a few-thousand-point cluster: every panel is open from the
+    # first block to its last, and each yields about one pair per own row.
     m, panel = 3000, dedup_core._PANEL
     e = random_unit(rng, m, 16)
     tracemalloc.start()
     try:
         sizes = []
-        screened = dedup_core._screen(e.data, 4, dedup_core._screen_margin(16))
+        screened = dedup_core._screen(e.data, np.arange(m), 4, dedup_core._screen_margin(16))
         for p, (later, earlier) in enumerate(screened):
-            p0 = 1 + p * panel
+            p0 = 1 + p * panel  # panels close in order, each after its last block
             assert np.array_equal(np.unique(later), np.arange(p0, min(p0 + panel, m)))
             assert np.all(earlier < later)
             sizes.append(later.size)
@@ -246,6 +249,22 @@ def test_screen_holds_one_panel_of_candidates(rng):
     assert m - 1 <= sum(sizes) <= 1.01 * (m - 1)
     # Holding every tile's argmax until the end would take m * m / 4 pairs of 20 bytes.
     assert peak < 2 << 20
+
+
+def test_screen_yields_early_past_the_budget_and_keeps_the_maxima(monkeypatch):
+    # 600 exact copies: every earlier row is a candidate, 179,700 pairs in all.
+    # Past the budget the held panels are cut early, so no more than the budget
+    # and one block of candidates is held, and the maxima stay those of all pairs.
+    local = np.random.default_rng(5)
+    e = unit_rows(np.repeat(local.standard_normal((1, 8)), 600, axis=0))
+    want = np.einsum("ij,ij->i", e.data.astype(np.float64), e.data.astype(np.float64))
+    want[0] = 0.0
+    monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 20 * 1000)
+    batches = list(dedup_core._screen(e.data, np.arange(600), 64, dedup_core._screen_margin(8)))
+    assert max(later.size for later, _ in batches) <= 1000 + dedup_core._PANEL * 64
+    later = np.concatenate([later for later, _ in batches])
+    assert later.size == 600 * 599 // 2
+    assert np.array_equal(dedup_cluster(e, np.arange(600), tile=64), want)
 
 
 # Row counts either side of one and two panels (a panel within ``a`` starts at row 1), and tiles.
@@ -258,10 +277,11 @@ def test_panels_cover_each_pair_once():
     local = np.random.default_rng(3)
     b = local.standard_normal((23, 5)).astype(np.float32)
     for m in KERNEL_ROWS:
-        a = local.standard_normal((m, 5)).astype(np.float32)
+        a = np.vstack([local.standard_normal((m, 5)).astype(np.float32), b])
+        rows, cols = np.arange(m), np.arange(m, m + len(b))
         for tile, dtype in itertools.product(KERNEL_TILES, KERNEL_DTYPES):
             within = np.zeros((m, m), dtype=np.int64)
-            for i0, j0, sims in dedup_core._panels(a, tile=tile, dtype=dtype):
+            for i0, j0, sims in dedup_core._panels(a, rows, tile=tile, dtype=dtype):
                 assert sims.dtype == dtype
                 assert sims.shape[0] <= dedup_core._PANEL and sims.shape[1] <= tile
                 within[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] += sims > -np.inf
@@ -269,7 +289,7 @@ def test_panels_cover_each_pair_once():
             assert np.array_equal(within, np.tri(m, k=-1, dtype=np.int64))
 
             across = np.zeros((m, b.shape[0]), dtype=np.int64)
-            for i0, j0, sims in dedup_core._panels(a, b, tile=tile, dtype=dtype):
+            for i0, j0, sims in dedup_core._panels(a, rows, cols, tile=tile, dtype=dtype):
                 assert sims.dtype == dtype
                 assert sims.shape[0] <= dedup_core._PANEL and sims.shape[1] <= tile
                 across[i0:i0 + sims.shape[0], j0:j0 + sims.shape[1]] += 1
@@ -283,14 +303,53 @@ def test_panels_equal_gemm_of_the_same_dtype_rows():
     local = np.random.default_rng(4)
     b = local.standard_normal((40, 64)).astype(np.float32)
     for m in KERNEL_ROWS:
-        a = local.standard_normal((m, 64)).astype(np.float32)
+        a = np.vstack([local.standard_normal((m, 64)).astype(np.float32), b])
+        rows, cols = np.arange(m), np.arange(m, m + len(b))
         for tile, dtype in itertools.product(KERNEL_TILES, KERNEL_DTYPES):
             wide = a.astype(dtype)
-            for cols, wide_cols in ((None, wide), (b, b.astype(dtype))):
-                for i0, j0, sims in dedup_core._panels(a, cols, tile=tile, dtype=dtype):
+            for index, wide_cols in ((None, wide[rows]), (cols, wide[cols])):
+                for i0, j0, sims in dedup_core._panels(a, rows, index, tile=tile, dtype=dtype):
                     want = wide[i0:i0 + sims.shape[0]] @ wide_cols[j0:j0 + sims.shape[1]].T
                     live = sims > -np.inf
                     assert np.array_equal(sims[live], want[live])
+
+
+def panel_grid(m, n, tile, within):
+    """``(i0, j0, rows, columns)`` of each panel, from a reference panel-outer loop."""
+    grid = set()
+    for p0 in range(int(within), m, dedup_core._PANEL):
+        p1 = min(p0 + dedup_core._PANEL, m)
+        for j0 in range(0, p1 - 1 if within else n, tile):
+            j1 = min(j0 + tile, p1 - 1 if within else n)
+            i0 = max(p0, j0 + 1) if within else p0
+            grid.add((i0, j0, p1 - i0, j1 - j0))
+    return grid
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 600), st.integers(0, 300))
+def test_panels_of_shuffled_rows_keep_the_grid_and_the_gemm(seed, m, n):
+    # Rows and columns are read from a corpus by shuffled index: the panels keep
+    # the shapes and positions of the panel-outer loop, so each entry is the
+    # same gemm of the same rows, and each pair is still covered once.
+    local = np.random.default_rng(seed)
+    data = local.standard_normal((m + n + 5, 16)).astype(np.float32)
+    order = local.permutation(len(data))
+    rows, cols = order[:m], order[m:m + n]
+    for tile, dtype in itertools.product((1, 3, 17, 1024), KERNEL_DTYPES):
+        wide = data.astype(dtype)
+        for index, within in ((None, True), (cols, False)):
+            across = wide[rows] if within else wide[cols]
+            seen, count = set(), np.zeros((m, len(across)), dtype=np.int64)
+            for i0, j0, sims in dedup_core._panels(data, rows, index, tile=tile, dtype=dtype):
+                r, c = sims.shape
+                seen.add((i0, j0, r, c))
+                want = wide[rows[i0:i0 + r]] @ across[j0:j0 + c].T
+                live = sims > -np.inf
+                assert sims.dtype == dtype and np.array_equal(sims[live], want[live])
+                count[i0:i0 + r, j0:j0 + c] += live
+            assert seen == panel_grid(m, len(across), tile, within)
+            assert np.array_equal(count, np.tri(m, k=-1, dtype=np.int64) if within else np.ones((m, n), np.int64))
 
 
 def test_pmax_of_another_length_is_rejected(rng):

@@ -16,9 +16,10 @@ from semdedup.embedding_store import (
     normalize_rows_in_place,
     write_embeddings,
 )
+from semdedup.oracle import brute_force_greedy_dedup
 from semdedup.spherical_kmeans import _INIT_SAMPLE_CAP, _POINTS_PER_CENTROID, _assign_pass, fit
 
-from conftest import random_unit
+from conftest import random_unit, single_cluster_model, unit_rows
 
 
 @pytest.fixture
@@ -122,14 +123,67 @@ def test_keep_list_holds_one_sorted_copy_plus_the_budget(tmp_path):
     assert peak <= ids.nbytes + _parallel.SCRATCH_BYTES
 
 
-def test_efficiency_holds_two_clusters_plus_a_panel_and_the_budget_per_worker():
-    n, d, k, threads = 12_000, 256, 4, 2
+def _kernel_bytes(d, width=4, tile=DEFAULT_TILE):
+    """One worker's ``_panels`` buffers: the float32 rows of a block and a panel, their
+    casts when scores are ``width`` bytes wide, not 4, and a panel of scores, a mask of
+    one byte per score and the 64 KiB diagonal mask."""
+    rows = (tile + _PANEL) * d * (4 + (width if width != 4 else 0))
+    return rows + _PANEL * tile * (width + 1) + _PANEL * _PANEL
+
+
+def _four_clusters(n=12_000, d=256, threads=2):
     e = random_unit(np.random.default_rng(4), n, d)
-    model = fit(e, k, 3, seed=1, threads=threads)
+    return e, fit(e, 4, 3, seed=1, threads=threads)
+
+
+def test_efficiency_holds_a_tile_and_a_panel_per_worker():
+    e, model = _four_clusters()
+    threads = 2
     peak, _ = _traced_peak(lambda: dedup_efficiency(e, model, 0.3, 1, threads=threads))
-    # A task that pairs two clusters gathers the rows of both: one cluster's
-    # rows per worker (3.1 MiB at most here) would not fit the peak.
-    two = sum(sorted(int(m.size) for m in model.members)[-2:]) * d * 4
-    panel = _PANEL * DEFAULT_TILE * (4 + 1)  # float32 scores and their mask
+    # Rows are read from the corpus a tile and a panel at a time: even a task
+    # that pairs two clusters holds no cluster's rows (3.1 MiB at most here).
     # Plus the n-byte marks of the points that have a duplicate.
-    assert peak <= threads * (two + panel + _parallel.SCRATCH_BYTES) + n
+    assert peak <= threads * (_kernel_bytes(e.d) + _parallel.SCRATCH_BYTES) + e.n
+
+
+def test_histogram_holds_a_tile_and_a_float64_panel_per_worker():
+    e, model = _four_clusters()
+    threads = 2
+    peak, _ = _traced_peak(lambda: similarity_histogram(e, model, 200, threads=threads))
+    # Float64 casts of the block and the panel, a float64 panel of cosines, and
+    # the binning's temporaries, which fit the budget; no cluster's rows.
+    assert peak <= threads * (_kernel_bytes(e.d, width=8) + _parallel.SCRATCH_BYTES)
+
+
+def test_prefix_maxima_holds_a_tile_not_a_cluster_per_worker():
+    # One cluster of 8,000 x 256 rows (8.2 MB) that the sweep reads a tile at a time.
+    n, d = 8_000, 256
+    e = random_unit(np.random.default_rng(7), n, d)
+    model = single_cluster_model(e)
+    peak, _ = _traced_peak(lambda: prefix_maxima(e, model, KeepStrategy.LOW_CENTROID_SIM, 0, threads=2))
+    # One sweep runs; its candidates (about 1.2 per point), the best scores so
+    # far, the keep order, its keys and pmax are a few n-sized arrays.
+    assert peak <= _kernel_bytes(d) + _parallel.SCRATCH_BYTES + 8 * n * 8
+
+
+def test_exact_copies_hold_a_working_set_that_does_not_grow():
+    # Every earlier copy is a winning candidate, so O(copies^2) pairs reach
+    # float64, but no more than the budget and one panel's block of them are
+    # held at once.
+    peaks = []
+    for copies in (3_000, 6_000):
+        e = unit_rows(np.repeat(np.random.default_rng(1).standard_normal((1, 128)), copies, axis=0))
+        model = single_cluster_model(e)
+        peak, pmax = _traced_peak(lambda: prefix_maxima(e, model, KeepStrategy.LOW_CENTROID_SIM, 0, threads=2))
+        # All keys tie, so the keep order is by id: the row order here.
+        wide = e.data.astype(np.float64)
+        want = np.einsum("ij,ij->i", wide, wide)
+        want[0] = 0.0
+        assert np.array_equal(pmax, want)
+        if copies == 3_000:  # the oracle holds the whole float64 similarity matrix
+            assert np.array_equal(pmax <= 0.95, brute_force_greedy_dedup(e, np.arange(copies), 0.05))
+        # A candidate of one panel's block takes at most 64 bytes: its flat index,
+        # row pair and score, its best so far, the pair's corpus rows and its dot.
+        assert peak <= _PANEL * DEFAULT_TILE * 64 + 2 * _parallel.SCRATCH_BYTES
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 2 << 20
