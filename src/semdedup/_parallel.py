@@ -22,12 +22,16 @@ command's peak memory is then the interpreter, plus one normalized corpus
 (see ``embedding_store``), plus for ``cluster`` the k-means seeding's float64
 race sample of min(n, 256k, max(16384, 4k)) * d * 8 bytes (Lloyd reads its
 training sample from the corpus by row index and holds no copy of it), plus
-per worker thread the budget and what the similarity kernel holds: one block
-of at most tile and one panel of at most 256 rows read from the corpus by row
-index (float32, plus their float64 casts for the histogram), never a whole
-cluster, and one similarity panel of 256 * tile entries with a 64 KiB mask,
-float32 (1 MiB by default) for the prefix maxima and the threshold pass or
-float64 (2 MiB) for the histogram. The prefix maxima's screen also holds one
+per worker thread the budget and what the similarity kernel holds, never a
+whole cluster. For the prefix maxima and the threshold pass that is one
+float32 block of at most tile and one panel of at most 256 rows read from the
+corpus by row index, and one float32 similarity panel of 256 * tile entries
+(1 MiB by default) with a 64 KiB mask. The histogram's blocks and panels hold
+the same bytes in half the rows: a float32 staging block of tile * 4 / 8 rows
+and its float64 cast, 128-row panels staged and cast alike, their float64
+scores (512 KiB by default) with a 16 KiB mask, and the binning's temporaries
+within the budget; only the staging rows, half the float32 passes' rows, come
+on top of what those passes hold. The prefix maxima's screen also holds one
 block's candidate pairs (at most 256 * tile, 20 bytes each) and the candidates
 of the panels still open (about 1.2 per point of the cluster), which it cuts
 or hands to float64 once they outgrow the budget; the threshold pass holds one

@@ -11,6 +11,9 @@ Two passes over the clusters' pairs, each one ``map_ordered`` call, and each
 reads a cluster's rows from the corpus by index through ``dedup_core._panels``,
 a block and a panel at a time, never a whole cluster. The binning pass,
 ``similarity_histogram``, takes no epsilon and bins float64 panel entries.
+Only a panel's own-rows block masks entries (-inf), and in each row they run
+from the last column back, most in the first row; so only a binned chunk
+whose first row ends in -inf is compacted, and any other is binned in place.
 The threshold pass, ``threshold_pass``, judges each pair once at cosine >=
 1 - epsilon on the float64 row-wise dot pmax is made of, ``dedup_core._dots``,
 read only where a float32 panel score lies within ``_screen_margin`` of
@@ -78,7 +81,8 @@ def similarity_histogram(
             # About four float64 temporaries per cosine while binning.
             for lo, hi in chunk_ranges(sims.shape[0], budget_rows(32 * sims.shape[1])):
                 block = sims[lo:hi]
-                counts += np.bincount(_bin_indices(block[block > -np.inf], bins), minlength=bins)
+                block = block[block > -np.inf] if block[0, -1] == -np.inf else block.ravel()
+                counts += np.bincount(_bin_indices(block, bins), minlength=bins)
         return counts
 
     return sum(map_ordered(one, range(model.k), threads)).astype(np.uint64)

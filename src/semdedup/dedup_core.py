@@ -28,7 +28,10 @@ Geijn's GEMM ("Anatomy of high-performance matrix multiplication", ACM TOMS
 2008): each block is gathered once and every panel that needs it is
 multiplied against it, so a caller holds a block and a panel of rows, never
 a cluster. Gathers and casts to another dtype go into buffers made once per
-call. ``tile`` changes speed and memory, and a panel entry only within rounding.
+call. ``tile`` and the 256 count float32 rows: a wider dtype holds as many
+bytes in fewer rows (a float64 block holds ``tile // 2`` rows, a panel 128).
+Blocking splits rows and columns, never a dot's d-long sum, so ``tile``
+changes speed and memory, and a panel entry only within rounding.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .rng import hash_u64, hashed_uniform
 from .spherical_kmeans import KMeansModel
 
 DEFAULT_TILE = 1024
-# Rows of ``a`` per panel of the similarity kernel ``_panels``.
+# Float32 rows per panel of the similarity kernel ``_panels``; a wider dtype takes their bytes.
 _PANEL = 256
 # Tag separating the RANDOM keep order from other seeded draws.
 _TAG_ORDER = 29
@@ -156,13 +159,16 @@ def _panels(data: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None, 
     within = cols is None
     cols = rows if within else cols
     m, n, d = len(rows), len(cols), data.shape[1]
+    # A block or panel of a wider dtype holds the bytes, not the rows, of a ``data`` one.
+    shrink = max(1, np.dtype(dtype).itemsize // data.dtype.itemsize)
+    tile, step = max(1, tile // shrink), max(1, _PANEL // shrink)
     # Gathered float32 rows, and their casts when the caller asks for another dtype.
     block = right = np.empty((min(tile, n), d), dtype=data.dtype)
-    panel_rows = left = np.empty((min(_PANEL, m), d), dtype=data.dtype)
+    panel_rows = left = np.empty((min(step, m), d), dtype=data.dtype)
     if dtype != data.dtype:
         right, left = np.empty(right.shape, dtype=dtype), np.empty(left.shape, dtype=dtype)
     flat = np.empty(left.shape[0] * right.shape[0], dtype=dtype)
-    after = ~np.tri(_PANEL, k=-1, dtype=bool)
+    after = ~np.tri(step, k=-1, dtype=bool)
     # Within ``rows``, row 0 has no earlier row and the last row is no column.
     for j0 in range(0, n - within, tile):
         g1 = min(j0 + tile, n)
@@ -170,8 +176,8 @@ def _panels(data: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None, 
         np.take(data, cols[j0:g1], axis=0, out=block[:g1 - j0], mode="clip")
         if right is not block:
             np.copyto(right[:g1 - j0], block[:g1 - j0])
-        for p0 in range(int(within), m, _PANEL):
-            p1 = min(p0 + _PANEL, m)
+        for p0 in range(int(within), m, step):
+            p1 = min(p0 + step, m)
             # Within ``rows``, a panel's columns stop before its last row, and
             # rows before i0 have no earlier column in this block.
             j1, i0 = (min(g1, p1 - 1), max(p0, j0 + 1)) if within else (g1, p0)
@@ -364,7 +370,7 @@ def write_keep_list(path, ids: np.ndarray) -> None:
         ordered = np.sort(np.asarray(ids, dtype=np.uint64))
         # A 20-digit id costs about 123 bytes in a chunk: a Python int, its line and their share of the join.
         for lo, hi in chunk_ranges(ordered.size, budget_rows(128)):
-            fh.write("".join(f"{value}\n" for value in ordered[lo:hi].tolist()))
+            fh.write("\n".join(map(str, ordered[lo:hi].tolist())) + "\n")
 
 
 def read_keep_list(path) -> np.ndarray:

@@ -314,11 +314,17 @@ def test_panels_equal_gemm_of_the_same_dtype_rows():
                     assert np.array_equal(sims[live], want[live])
 
 
-def panel_grid(m, n, tile, within):
-    """``(i0, j0, rows, columns)`` of each panel, from a reference panel-outer loop."""
+def panel_grid(m, n, tile, within, dtype):
+    """``(i0, j0, rows, columns)`` of each ``dtype`` panel, from a reference panel-outer loop.
+
+    ``tile`` and ``_PANEL`` count float32 rows: a float64 block or panel holds
+    half as many, and at least one.
+    """
+    wide = np.dtype(dtype).itemsize // 4
+    tile, step = max(1, tile // wide), max(1, dedup_core._PANEL // wide)
     grid = set()
-    for p0 in range(int(within), m, dedup_core._PANEL):
-        p1 = min(p0 + dedup_core._PANEL, m)
+    for p0 in range(int(within), m, step):
+        p1 = min(p0 + step, m)
         for j0 in range(0, p1 - 1 if within else n, tile):
             j1 = min(j0 + tile, p1 - 1 if within else n)
             i0 = max(p0, j0 + 1) if within else p0
@@ -348,7 +354,7 @@ def test_panels_of_shuffled_rows_keep_the_grid_and_the_gemm(seed, m, n):
                 live = sims > -np.inf
                 assert sims.dtype == dtype and np.array_equal(sims[live], want[live])
                 count[i0:i0 + r, j0:j0 + c] += live
-            assert seen == panel_grid(m, len(across), tile, within)
+            assert seen == panel_grid(m, len(across), tile, within, dtype)
             assert np.array_equal(count, np.tri(m, k=-1, dtype=np.int64) if within else np.ones((m, n), np.int64))
 
 

@@ -123,12 +123,10 @@ def test_keep_list_holds_one_sorted_copy_plus_the_budget(tmp_path):
     assert peak <= ids.nbytes + _parallel.SCRATCH_BYTES
 
 
-def _kernel_bytes(d, width=4, tile=DEFAULT_TILE):
-    """One worker's ``_panels`` buffers: the float32 rows of a block and a panel, their
-    casts when scores are ``width`` bytes wide, not 4, and a panel of scores, a mask of
-    one byte per score and the 64 KiB diagonal mask."""
-    rows = (tile + _PANEL) * d * (4 + (width if width != 4 else 0))
-    return rows + _PANEL * tile * (width + 1) + _PANEL * _PANEL
+def _kernel_bytes(d):
+    """One worker's float32 ``_panels`` buffers: the rows of a block and a panel, a panel
+    of scores, a mask of one byte per score and the 64 KiB diagonal mask."""
+    return (DEFAULT_TILE + _PANEL) * d * 4 + _PANEL * DEFAULT_TILE * 5 + _PANEL * _PANEL
 
 
 def _four_clusters(n=12_000, d=256, threads=2):
@@ -146,13 +144,14 @@ def test_efficiency_holds_a_tile_and_a_panel_per_worker():
     assert peak <= threads * (_kernel_bytes(e.d) + _parallel.SCRATCH_BYTES) + e.n
 
 
-def test_histogram_holds_a_tile_and_a_float64_panel_per_worker():
+def test_histogram_holds_what_the_float32_passes_hold_per_worker():
     e, model = _four_clusters()
     threads = 2
     peak, _ = _traced_peak(lambda: similarity_histogram(e, model, 200, threads=threads))
-    # Float64 casts of the block and the panel, a float64 panel of cosines, and
-    # the binning's temporaries, which fit the budget; no cluster's rows.
-    assert peak <= threads * (_kernel_bytes(e.d, width=8) + _parallel.SCRATCH_BYTES)
+    # A float64 block and panel hold half the rows of a float32 one: with their
+    # float32 staging rows, a float64 panel of cosines and the binning's
+    # temporaries, which fit the budget, they take the efficiency test's bound.
+    assert peak <= threads * (_kernel_bytes(e.d) + _parallel.SCRATCH_BYTES) + e.n
 
 
 def test_prefix_maxima_holds_a_tile_not_a_cluster_per_worker():
