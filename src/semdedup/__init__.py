@@ -35,19 +35,13 @@ from .embedding_store import (
 )
 from .errors import (
     BracketError,
-    ConstructionError,
     DataError,
     DegenerateRowError,
     FormatError,
     InvalidArgumentError,
     SemDedupError,
 )
-from .oracle import (
-    PlantedCorpus,
-    brute_force_duplicate_pairs,
-    brute_force_greedy_dedup,
-    generate_planted,
-)
+from .oracle import brute_force_duplicate_pairs, brute_force_greedy_dedup
 from .spherical_kmeans import KMeansModel, assign, fit, load_model, nearest_clusters, save_model
 from .threshold_tuner import SizeCurve, TuneResult, sample_clusters, size_curve, tune_epsilon
 
@@ -55,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError",
-    "ConstructionError",
     "DataError",
     "DedupConfig",
     "DedupResult",
@@ -65,7 +58,6 @@ __all__ = [
     "InvalidArgumentError",
     "KMeansModel",
     "KeepStrategy",
-    "PlantedCorpus",
     "SemDedupError",
     "SizeCurve",
     "TuneResult",
@@ -78,7 +70,6 @@ __all__ = [
     "dedup_efficiency",
     "duplicate_incidence",
     "fit",
-    "generate_planted",
     "intersection_pct",
     "load_embeddings",
     "load_model",

@@ -1,10 +1,10 @@
 """Command-line pipeline: embeddings in, clustered/deduplicated artifacts out.
 
-Subcommands: cluster, dedup, tune, sweep, stats, intersect, efficiency,
-synth; each binds its handler, which takes the parsed arguments. The run
-options, the fields of ``PipelineConfig``, are the files, the CPU budget and
-settings that can change a result; each is one flag and one config-file key
-(flags override the file). The input is a SEMD1 file, the one format of
+Subcommands: cluster, dedup, tune, sweep, stats, intersect and efficiency;
+each binds its handler, which takes the parsed arguments. The run options,
+the fields of ``PipelineConfig``, are the files, the CPU budget and settings
+that can change a result; each is one flag and one config-file key (flags
+override the file). The input is a SEMD1 file, the one format of
 ``embedding_store``. The effective config is copied next to the results, so
 every run is reproducible. Inputs are validated before any output.
 
@@ -51,7 +51,7 @@ from .dedup_core import (
     threshold,
     write_keep_list,
 )
-from .embedding_store import load_embeddings, normalize_rows_in_place, write_embeddings
+from .embedding_store import load_embeddings, normalize_rows_in_place
 from .errors import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -60,7 +60,6 @@ from .errors import (
     SemDedupError,
     exit_code_for,
 )
-from .oracle import generate_planted
 from .spherical_kmeans import fit, load_model, save_model
 from .threshold_tuner import (
     DEFAULT_MAX_PROBES, DEFAULT_TOL_FRACTION, check_search, sample_clusters, select_epsilon,
@@ -362,28 +361,6 @@ def cmd_efficiency(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    corpus = generate_planted(
-        args.groups, args.group_size, args.dim, args.within_sim, args.seed
-    )
-    out = Path(args.out_prefix)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_embeddings(corpus.embeddings, Path(str(out) + ".semd"))
-    _write_json(
-        Path(str(out) + ".groups.json"),
-        {
-            "groups": corpus.groups,
-            "within_sim": corpus.within_sim,
-            "across_sim": corpus.across_sim,
-        },
-    )
-    logger.info(
-        "wrote %d points in %d groups (within >= %.6f, across <= %.6f)",
-        corpus.embeddings.n, len(corpus.groups), corpus.within_sim, corpus.across_sim,
-    )
-    return EXIT_OK
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     for f in fields(PipelineConfig):
@@ -431,14 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("keep_b")
 
     command("efficiency", cmd_efficiency, "duplicate-detection efficiency eta", model=True)
-
-    p = command("synth", cmd_synth, "generate a planted-duplicate corpus", config=False)
-    p.add_argument("--groups", type=int, required=True)
-    p.add_argument("--group-size", dest="group_size", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--within-sim", dest="within_sim", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
 
     return parser
 

@@ -31,10 +31,6 @@ class DegenerateRowError(DataError):
     """A row has (near-)zero norm, so its direction is undefined."""
 
 
-class ConstructionError(DataError):
-    """A synthetic corpus could not be built within the requested margins."""
-
-
 def exit_code_for(exc: BaseException) -> int:
     """Map an exception to the CLI exit code for its error class."""
     if isinstance(exc, FormatError):

@@ -9,7 +9,6 @@ result still hold.
 import time
 
 import numpy as np
-import pytest
 
 from semdedup.analysis_metrics import dedup_efficiency, intersection_pct
 from semdedup.cli import main
@@ -21,12 +20,12 @@ from semdedup.dedup_core import (
     order_cluster,
 )
 from semdedup.embedding_store import EmbeddingMatrix, normalize_rows, write_embeddings
-from semdedup.oracle import brute_force_greedy_dedup, generate_planted
+from semdedup.oracle import brute_force_greedy_dedup
 from semdedup.spherical_kmeans import assign, fit
 from semdedup.threshold_tuner import tune_epsilon
 from semdedup._parallel import resolve_threads
 
-from conftest import fixed_band_groups, random_unit
+from conftest import fixed_band_groups, generate_planted, random_unit
 
 
 def _report(num: int, name: str, detail: str) -> None:

@@ -16,11 +16,13 @@ from semdedup.analysis_metrics import (
 )
 from semdedup.dedup_core import DedupConfig, KeepStrategy, dedup_dataset, prefix_maxima, threshold
 from semdedup.errors import InvalidArgumentError
-from semdedup.oracle import brute_force_duplicate_pairs, generate_planted
+from semdedup.oracle import brute_force_duplicate_pairs
 from semdedup.embedding_store import normalize_rows
 from semdedup.spherical_kmeans import KMeansModel, fit, load_model, save_model
 
-from conftest import exact_step_pairs, fixed_band_groups, random_unit, single_cluster_model, unit_rows
+from conftest import (
+    exact_step_pairs, fixed_band_groups, generate_planted, random_unit, single_cluster_model, unit_rows,
+)
 
 
 def block_model(e, *splits):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import struct
@@ -18,7 +19,7 @@ from semdedup.errors import EXIT_DATA, EXIT_FORMAT, EXIT_NOT_CONVERGED, EXIT_VAL
 from semdedup.spherical_kmeans import load_model, nearest_clusters
 from semdedup.threshold_tuner import sample_clusters, select_epsilon, sorted_maxima
 
-from conftest import exact_step_pairs, fixed_band_groups
+from conftest import exact_step_pairs, fixed_band_groups, generate_planted
 
 
 @pytest.fixture
@@ -230,9 +231,8 @@ def test_stats_wrong_count_list_length_exits_before_any_sweep(tmp_path, corpus_f
 
 def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
     # Once for the histogram, once for eta's within count and the incidence.
-    assert main(["synth", "--groups", "40", "--group-size", "3", "--dim", "64",
-                 "--within-sim", "0.97", "--seed", "7", "--out-prefix", str(tmp_path / "p")]) == 0
     corpus = tmp_path / "p.semd"
+    write_embeddings(generate_planted(40, 3, 64, 0.97, 7).embeddings, corpus)
     outdir = tmp_path / "run"
     assert run_cluster(corpus, outdir, k=5) == 0
     model = load_model(outdir / "model.semk")
@@ -650,19 +650,19 @@ def test_sweep_rejects_bad_epsilon_lists(tmp_path, corpus_file, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_synth_round_trip(tmp_path):
-    prefix = tmp_path / "planted"
-    assert main([
-        "synth", "--groups", "10", "--group-size", "3", "--dim", "16",
-        "--within-sim", "0.999", "--seed", "3", "--out-prefix", str(prefix),
-    ]) == 0
-    from semdedup.embedding_store import load_embeddings
+def test_subcommands_are_the_pipeline_steps():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"cluster", "dedup", "tune", "sweep", "stats", "intersect",
+                                "efficiency"}
 
-    corpus = load_embeddings(tmp_path / "planted.semd")
-    assert corpus.n == 30
-    meta = json.loads((tmp_path / "planted.groups.json").read_text())
-    assert len(meta["groups"]) == 10
-    assert meta["within_sim"] > meta["across_sim"]
+
+def test_synth_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--groups", "10", "--group-size", "3", "--dim", "16",
+              "--within-sim", "0.999", "--seed", "3", "--out-prefix", str(tmp_path / "planted")])
+    assert exc.value.code == EXIT_VALIDATION
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_deterministic_across_threads(tmp_path, corpus_file):

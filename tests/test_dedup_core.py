@@ -25,12 +25,11 @@ from semdedup.dedup_core import (
     write_keep_list,
 )
 from semdedup.errors import InvalidArgumentError
-from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
 from semdedup.threshold_tuner import size_curve, sorted_maxima
 from semdedup.embedding_store import UNIT_NORM_TOL, UnitEmbeddingMatrix, normalize_rows
 
-from conftest import random_unit, single_cluster_model, unit_rows
+from conftest import generate_planted, random_unit, single_cluster_model, unit_rows
 
 
 def rows_with_centroid_cos(cosines):

@@ -1,17 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semdedup
+from semdedup import oracle
 from semdedup.dedup_core import DedupConfig, KeepStrategy, cluster_seed, dedup_dataset, order_cluster
 from semdedup.embedding_store import normalize_rows
-from semdedup.errors import ConstructionError, InvalidArgumentError
-from semdedup.oracle import (
-    brute_force_duplicate_pairs,
-    brute_force_greedy_dedup,
-    generate_planted,
-)
+from semdedup.errors import InvalidArgumentError
+from semdedup.oracle import brute_force_duplicate_pairs, brute_force_greedy_dedup
 from semdedup.spherical_kmeans import fit
 
-from conftest import random_unit, unit_rows
+from conftest import ConstructionError, generate_planted, random_unit, unit_rows
 
 
 def test_brute_force_single_point():
@@ -138,3 +139,26 @@ def test_generate_planted_argument_validation():
         generate_planted(2, [1, 0], d=8, within_sim_target=0.9, seed=0)
     with pytest.raises(InvalidArgumentError):
         generate_planted(2, [1, 1, 1], d=8, within_sim_target=0.9, seed=0)
+
+
+def test_oracle_imports_nothing_it_checks():
+    # The arbiter shares no code with what it checks (dedup_core, analysis_metrics,
+    # spherical_kmeans, threshold_tuner, _parallel): numpy, the matrix types and errors only.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "numpy", ".embedding_store", ".errors"}
+
+
+def test_package_exports_resolve_without_the_generator():
+    assert len(semdedup.__all__) == len(set(semdedup.__all__))
+    namespace = {}
+    exec("from semdedup import *", namespace)
+    assert set(semdedup.__all__) <= set(namespace)
+    for name in ("generate_planted", "PlantedCorpus", "ConstructionError"):
+        for module in (semdedup, semdedup.errors, oracle):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -17,8 +17,9 @@ from semdedup.analysis_metrics import dedup_efficiency, duplicate_incidence, sim
 from semdedup.dedup_core import KeepStrategy, prefix_maxima
 from semdedup.embedding_store import normalize_rows, write_embeddings
 from semdedup.errors import InvalidArgumentError
-from semdedup.oracle import generate_planted
 from semdedup.spherical_kmeans import fit
+
+from conftest import generate_planted
 
 BLAS = _parallel._blas()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy has no bundled OpenBLAS")
