@@ -31,14 +31,16 @@ the same bytes in half the rows: a float32 staging block of tile * 4 / 8 rows
 and its float64 cast, 128-row panels staged and cast alike, their float64
 scores (512 KiB by default) with a 16 KiB mask, and the binning's temporaries
 within the budget; only the staging rows, half the float32 passes' rows, come
-on top of what those passes hold. The prefix maxima's screen also holds one
-block's candidate pairs (at most 256 * tile, 20 bytes each) and the candidates
-of the panels still open (about 1.2 per point of the cluster), which it cuts
-or hands to float64 once they outgrow the budget; the threshold pass holds one
-block's band pairs (about 32 bytes each) and marks the points that have a
-duplicate in one n-byte array. ``write_keep_list`` holds a sorted copy of the
-ids and writes them in chunks of 16,384, which at about 123 bytes per 20-digit
-id fit the budget.
+on top of what those passes hold. The prefix maxima's screen also holds each
+row's float32 best score (4 bytes a row of the cluster), one block's candidate
+pairs (at most 256 * tile, 20 bytes each) and the candidates of the panels
+still open (about 1.2 per point of the cluster), which it cuts or hands to
+float64 once they outgrow the budget; the threshold pass holds one block's
+band pairs (about 32 bytes each) and marks the points that have a duplicate
+in one n-byte array. ``similarity_histogram`` holds every cluster's counts
+until it adds them up, k * bins * 8 bytes. ``write_keep_list`` holds a sorted
+copy of the ids and writes them in chunks of 16,384, which at about 123 bytes
+per 20-digit id fit the budget.
 """
 
 from __future__ import annotations

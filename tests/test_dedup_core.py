@@ -221,9 +221,8 @@ def test_screen_sends_one_pair_per_point_to_float64(rng):
     rows = rng.permutation(300)[:200]  # positions in ``rows``, read from the corpus by index
     wide = e.data[rows].astype(np.float64)
     winners = [int(np.argmax(wide[:i] @ wide[i])) for i in range(1, 200)]
-    margin = dedup_core._screen_margin(16)
     for tile in (1, 17, 1024):
-        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, rows, tile, margin)))
+        later, earlier = (np.concatenate(x) for x in zip(*dedup_core._screen(e.data, rows, tile)))
         assert np.array_equal(np.sort(later), np.arange(1, 200))
         assert np.array_equal(earlier[np.argsort(later)], winners)
 
@@ -236,7 +235,7 @@ def test_screen_holds_a_budget_of_candidates(rng):
     tracemalloc.start()
     try:
         sizes = []
-        screened = dedup_core._screen(e.data, np.arange(m), 4, dedup_core._screen_margin(16))
+        screened = dedup_core._screen(e.data, np.arange(m), 4)
         for p, (later, earlier) in enumerate(screened):
             p0 = 1 + p * panel  # panels close in order, each after its last block
             assert np.array_equal(np.unique(later), np.arange(p0, min(p0 + panel, m)))
@@ -259,7 +258,7 @@ def test_screen_yields_early_past_the_budget_and_keeps_the_maxima(monkeypatch):
     want = np.einsum("ij,ij->i", e.data.astype(np.float64), e.data.astype(np.float64))
     want[0] = 0.0
     monkeypatch.setattr(_parallel, "SCRATCH_BYTES", 20 * 1000)
-    batches = list(dedup_core._screen(e.data, np.arange(600), 64, dedup_core._screen_margin(8)))
+    batches = list(dedup_core._screen(e.data, np.arange(600), 64))
     assert max(later.size for later, _ in batches) <= 1000 + dedup_core._PANEL * 64
     later = np.concatenate([later for later, _ in batches])
     assert later.size == 600 * 599 // 2
